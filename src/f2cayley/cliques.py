@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import PreconditionError
 from .cayley import CayleyGraph
-from .gf2 import ElemSet, Subspace, bits_of, rref_insert, xor_shift
+from .gf2 import ElemSet, Subspace, _level_mask, bits_of, rref, subspace_members, xor_shift
 
 __all__ = [
     "CliqueOutcome",
@@ -47,9 +47,10 @@ class CliqueOutcome:
 class SubspaceCliqueReport:
     """Counts M_m of m-dimensional subspaces whose nonzero part is all-edges.
 
-    M_0 = 1 (the zero subspace) always.  If the memory budget was hit,
-    `complete` is False and counts are exact only for the dimensions present;
-    deeper dimensions are absent rather than undercounted.
+    M_0 = 1 (the zero subspace) always.  The enumeration always runs to the
+    end, so every count is exact and `complete` is always True; the field is
+    kept for callers that check it.  `witness_basis` is a canonical RREF basis
+    of the first deepest subspace in the search order.
     """
 
     counts: Dict[int, int]
@@ -58,61 +59,54 @@ class SubspaceCliqueReport:
     witness_basis: Tuple[int, ...]
 
 
-def subspace_cliques(G: CayleyGraph, memory_budget: int = 256 * 1024 * 1024) -> SubspaceCliqueReport:
-    """Count qualifying subspaces per dimension, level by level.
+def subspace_cliques(G: CayleyGraph) -> SubspaceCliqueReport:
+    """Count qualifying subspaces per dimension by orderly depth-first search.
 
-    Each level-d subspace carries W(H) = intersection over h in H of (A + h),
-    the set of elements v with v + H entirely inside A; children are H plus a
-    coset v + H for v in W(H) \\ H, deduplicated by canonical RREF basis.
+    A subspace H is reached through its reduced row echelon basis with rows
+    added in increasing pivot order, so it is produced exactly once (orderly
+    generation; Read 1978, McKay 1998) and no visited set is kept.  Each node
+    carries W(H) = intersection over h in H of (A + h), the set of v with
+    v + H inside A, and `elig`, the v whose top bit lies above every pivot of
+    H and which are zero at every pivot.  The children of H are then exactly
+    H + <v> for v in W(H) & elig: they are counted by popcount, and the search
+    descends only into those that can have children of their own.  Memory is
+    O(n) masks of 2^n bits.
     """
     n = G.n
-    a_mask = G.generators.mask
+    full = (1 << (1 << n)) - 1
+    # step[p]: the v zero at position p with top bit above p, i.e. the rows
+    # that may follow a row with pivot p; a pivot n - 1 leaves none
+    step = [_level_mask(n, p) & full >> (2 << p) << (2 << p) for p in range(n - 1)]
+    below_top = (1 << (1 << (n - 1))) - 1
     counts = {0: 1}
-    witness: Tuple[int, ...] = ()
-    complete = True
-    entry_bytes = (1 << n) // 4 + 120  # members + W bitmasks plus dict overhead
-    max_entries = max(memory_budget // (2 * entry_bytes), 64)
+    rows: List[int] = []  # basis of the current H, pivots increasing
+    best: List[int] = []  # first basis met at the deepest dimension so far
 
-    level: Dict[Tuple[int, ...], Tuple[int, int]] = {(): (1, a_mask)}
-    dim = 0
-    while True:
-        nxt: Dict[Tuple[int, ...], Tuple[int, int]] = {}
-        overflow = False
-        for basis, (members, w) in level.items():
-            cand = w & ~members
-            while cand:
-                lsb = cand & -cand
-                v = lsb.bit_length() - 1
-                coset = xor_shift(members, v, n)
-                cand &= ~coset
-                child = rref_insert(basis, v)
-                if child in nxt:
-                    continue
-                if len(nxt) >= max_entries:
-                    overflow = True
-                    break
-                nxt[child] = (members | coset, w & xor_shift(w, v, n))
-            if overflow:
-                break
-        if overflow:
-            complete = False
-            break
-        if not nxt:
-            break
-        dim += 1
-        counts[dim] = len(nxt)
-        witness = next(iter(nxt))
-        level = nxt
+    def grow(w: int, elig: int) -> None:
+        cand = w & elig
+        if not cand:
+            return
+        d = len(rows) + 1
+        counts[d] = counts.get(d, 0) + cand.bit_count()
+        if d > len(best):
+            best[:] = rows + [(cand & -cand).bit_length() - 1]
+        cand &= below_top
+        while cand:
+            p = ((cand & -cand).bit_length() - 1).bit_length() - 1
+            block = cand & (((1 << (1 << p)) - 1) << (1 << p))  # the v with pivot p
+            cand ^= block
+            sub = elig & step[p]
+            if not w & sub:  # W only shrinks, so no child of pivot p can grow
+                continue
+            for v in bits_of(block):
+                rows.append(v)
+                grow(w & xor_shift(w, v, n), sub)
+                rows.pop()
+
+    grow(G.generators.mask, full - 1)
     return SubspaceCliqueReport(
-        counts=counts, max_dim=max(counts), complete=complete, witness_basis=witness
+        counts=counts, max_dim=max(counts), complete=True, witness_basis=rref(best)
     )
-
-
-def _members_mask(basis: Tuple[int, ...], n: int) -> int:
-    m = 1
-    for b in basis:
-        m |= xor_shift(m, b, n)
-    return m
 
 
 def verify_clique(G: CayleyGraph, X: ElemSet) -> bool:
@@ -150,7 +144,7 @@ def max_clique(
     n = G.n
     adj = G.adjacency_masks()
     rep = subspace_report if subspace_report is not None else subspace_cliques(G)
-    seed_mask = _members_mask(rep.witness_basis, n)
+    seed_mask = subspace_members(Subspace(n, rep.witness_basis)).mask
     state = {"best_mask": seed_mask, "best_size": seed_mask.bit_count(), "nodes": 0}
 
     def color_order(P: int) -> Tuple[List[int], List[int]]:
@@ -236,7 +230,7 @@ def coset_coloring(G: CayleyGraph, V: Subspace) -> Coloring:
     """
     if V.n != G.n:
         raise PreconditionError("subspace lives in the wrong ambient dimension")
-    viol = _members_mask(V.basis, G.n) & ~1 & G.generators.mask
+    viol = subspace_members(V).mask & ~1 & G.generators.mask
     if viol:
         s = (viol & -viol).bit_length() - 1
         raise PreconditionError(

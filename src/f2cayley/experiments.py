@@ -227,17 +227,25 @@ class TrialRecord:
     nodes: int
 
     def validate(self) -> None:
+        """Check the invariants every exact record satisfies at every n."""
+        where = f"record n={self.n} seed={self.seed}"
+        if self.m_counts.get(0) != 1:
+            raise PreconditionError(f"{where}: m_counts[0] != 1")
+        if self.m_counts.get(1, 0) != self.a_size:
+            raise PreconditionError(f"{where}: m_counts[1] != a_size {self.a_size}")
+        if self.max_subspace_dim != max(self.m_counts):
+            raise PreconditionError(
+                f"{where}: max_subspace_dim {self.max_subspace_dim} is not the deepest count")
+        if self.chi_lower < self.omega_size:
+            raise PreconditionError(f"{where}: chi_lower below omega_size")
         if self.omega_size < 1 << self.max_subspace_dim:
             raise PreconditionError(
-                f"record n={self.n} seed={self.seed}: omega_size "
-                f"{self.omega_size} < 2^{self.max_subspace_dim}")
+                f"{where}: omega_size {self.omega_size} < 2^{self.max_subspace_dim}")
         if self.chi_lower > self.chi_upper:
-            raise PreconditionError(
-                f"record n={self.n} seed={self.seed}: chi bracket inverted")
+            raise PreconditionError(f"{where}: chi bracket inverted")
         if self.chi_exact is not None and not (
                 self.chi_lower <= self.chi_exact <= self.chi_upper):
-            raise PreconditionError(
-                f"record n={self.n} seed={self.seed}: chi_exact outside bracket")
+            raise PreconditionError(f"{where}: chi_exact outside bracket")
 
     def to_json(self) -> str:
         d = {

@@ -4,11 +4,13 @@ import random
 import pytest
 
 from f2cayley import (
+    CayleyGraph,
     ElemSet,
     PreconditionError,
     Subspace,
     chromatic_bracket,
     coset_coloring,
+    derive_seed,
     from_generators,
     gaussian_binomial,
     greedy_coloring,
@@ -87,6 +89,70 @@ def test_subspace_graph_clique_counts():
             for m in range(dim + 1):
                 assert rep.counts[m] == gaussian_binomial(dim, m)
             assert max_clique(G).size == 1 << dim
+
+
+def span_members(basis):
+    """All elements of the span, by doubling the member list row by row."""
+    members = [0]
+    for b in basis:
+        members += [x ^ b for x in members]
+    return members
+
+
+def inside_generators(basis, a_mask):
+    return all((a_mask >> x) & 1 for x in span_members(basis) if x)
+
+
+def brute_subspace_counts(n, a_mask):
+    """M_m for every m by testing each subspace of F_2^n against A."""
+    counts = {}
+    for m in range(n + 1):
+        c = sum(inside_generators(V.basis, a_mask) for V in enumerate_subspaces(n, m))
+        if c:
+            counts[m] = c
+    return counts
+
+
+def test_subspace_cliques_match_exhaustive_oracle():
+    rng = random.Random(515)
+    for i in range(20):
+        n = 2 + i % 5
+        G = sample_cayley(n, rng.getrandbits(63))
+        for H in (G, G.complement()):
+            rep = subspace_cliques(H)
+            a = H.generators.mask
+            assert rep.complete
+            assert rep.counts == brute_subspace_counts(n, a)
+            assert rep.max_dim == max(rep.counts) == len(rep.witness_basis)
+            assert Subspace(n, rep.witness_basis).basis == rep.witness_basis
+            assert inside_generators(rep.witness_basis, a)
+
+
+def test_subspace_cliques_full_generator_set_reaches_every_subspace():
+    n = 7
+    G = CayleyGraph(n, ElemSet(n, (1 << (1 << n)) - 2))
+    rep = subspace_cliques(G)
+    assert rep.counts == {m: gaussian_binomial(n, m) for m in range(n + 1)}
+    assert sum(rep.counts.values()) == 29_212
+    assert rep.max_dim == n and len(rep.witness_basis) == n
+
+
+def test_subspace_cliques_exact_at_n11():
+    # the counts go past dimension 3 here, where a level-by-level search
+    # has to hold ~10^5 subspaces of 2^11-bit masks at once
+    n = 11
+    for i in range(2):
+        G = sample_cayley(n, derive_seed(1, i))
+        for H in (G, G.complement()):
+            rep = subspace_cliques(H)
+            a = H.generators.mask
+            elems = [x for x in range(1, 1 << n) if (a >> x) & 1]
+            pairs = sum((a >> (x ^ y)) & 1 for j, x in enumerate(elems) for y in elems[j + 1:])
+            assert rep.complete
+            assert rep.counts[0] == 1 and rep.counts[1] == len(elems)
+            assert rep.counts[2] == pairs // 3  # each plane holds 3 generator pairs
+            assert rep.max_dim == max(rep.counts) == len(rep.witness_basis) >= 4
+            assert inside_generators(rep.witness_basis, a)
 
 
 def test_clique_budget_exhaustion_keeps_witness():

@@ -128,6 +128,12 @@ def test_trial_record_validation():
     bad2 = dict(good, chi_exact=9)
     with pytest.raises(PreconditionError):
         TrialRecord(**bad2).validate()
+    for wrong in (dict(m_counts={0: 2, 1: 7, 2: 1}),  # M_0 is the zero subspace
+                  dict(m_counts={0: 1, 1: 6, 2: 1}),  # M_1 counts the generators
+                  dict(max_subspace_dim=1),           # deepest count is dimension 2
+                  dict(chi_lower=3, chi_exact=None)):  # chi >= omega
+        with pytest.raises(PreconditionError):
+            TrialRecord(**dict(good, **wrong)).validate()
     with pytest.raises(PreconditionError):
         TrialRecord.from_json('{"n": 4}')
 
