@@ -76,7 +76,7 @@ def subspace_cliques(G: CayleyGraph) -> SubspaceCliqueReport:
     full = (1 << (1 << n)) - 1
     # step[p]: the v zero at position p with top bit above p, i.e. the rows
     # that may follow a row with pivot p; a pivot n - 1 leaves none
-    step = [_level_mask(n, p) & full >> (2 << p) << (2 << p) for p in range(n - 1)]
+    step = [_level_mask(n, p) & (full >> (2 << p) << (2 << p)) for p in range(n - 1)]
     below_top = (1 << (1 << (n - 1))) - 1
     counts = {0: 1}
     rows: List[int] = []  # basis of the current H, pivots increasing
@@ -103,7 +103,7 @@ def subspace_cliques(G: CayleyGraph) -> SubspaceCliqueReport:
                 grow(w & xor_shift(w, v, n), sub)
                 rows.pop()
 
-    grow(G.generators.mask, full - 1)
+    grow(G.generators.mask, full - 1)  # any nonzero v may be the first row
     return SubspaceCliqueReport(
         counts=counts, max_dim=max(counts), complete=True, witness_basis=rref(best)
     )
