@@ -13,7 +13,9 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .errors import PreconditionError
+import numpy as np
+
+from .errors import InvariantError, PreconditionError
 from .cayley import CayleyGraph
 from .gf2 import ElemSet, Subspace, _level_mask, bits_of, rref, subspace_members, xor_shift
 
@@ -124,6 +126,12 @@ def verify_independent(G: CayleyGraph, X: ElemSet) -> bool:
     )
 
 
+def _require(ok: bool, what: str) -> None:
+    """Certificate check that runs at every n and under python -O."""
+    if not ok:
+        raise InvariantError(what)
+
+
 class _Budget(Exception):
     pass
 
@@ -136,10 +144,31 @@ def max_clique(
     """Exact maximum clique by branch and bound with a greedy-coloring bound.
 
     The graph is vertex-transitive, so every maximum clique has a translate
-    through vertex 0 and the root branches only inside the neighborhood of 0.
-    The incumbent starts from the deepest subspace clique.  With a node
-    budget the search may stop early, returning the incumbent with
-    optimal=False.
+    through vertex 0 and the root branches only on generators, the vertices
+    of N(0) = A.  Translation symmetry is used twice more below the root, so
+    that of the translates K + x (x in K) of a clique K through 0 the search
+    meets essentially one:
+
+    - Difference rule.  Let D be the root candidates not yet branched when
+      the root branches on v (v included).  Let g be the first branched
+      element of the difference set K + K \\ {0} of a clique K through 0,
+      say g = x + y with x, y in K.  Then K + x holds 0 and g and has the
+      same differences, all in D when g is branched.  So branch v searches
+      only P2 = {u : u in D and u + v in D}, and inside it two candidates
+      are adjacent only if their sum lies in D.  If the root prunes before
+      any difference of K is branched, K + x \\ {0} lies in the pruned
+      candidates and the coloring bound covers it.
+    - Pairing rule.  Inside branch v, translation by v fixes {0, v} and maps
+      P2 onto itself.  Once the branch on a third vertex w is done, a clique
+      through w + v has a translate of the same size through w, so w and
+      w + v leave the candidates together, which keeps them closed under
+      the translation.
+
+    Both rules drop only work that is done elsewhere, so the bound stays
+    valid and the result is exact; the witness is some maximum clique.  The
+    incumbent starts from the deepest subspace clique.  With a node budget
+    the search may stop early, after exactly `budget` nodes, returning the
+    incumbent with optimal=False.
     """
     n = G.n
     adj = G.adjacency_masks()
@@ -147,7 +176,16 @@ def max_clique(
     seed_mask = subspace_members(Subspace(n, rep.witness_basis)).mask
     state = {"best_mask": seed_mask, "best_size": seed_mask.bit_count(), "nodes": 0}
 
-    def color_order(P: int) -> Tuple[List[int], List[int]]:
+    levels = [(1 << j, _level_mask(n, j)) for j in range(n)]
+
+    def translate(m: int, t: int) -> int:
+        # xor_shift(m, t, n) with the level masks fetched once per search
+        for s, low in levels:
+            if t & s:
+                m = ((m >> s) & low) | ((m & low) << s)
+        return m
+
+    def color_order(P: int, adj) -> Tuple[List[int], List[int]]:
         order: List[int] = []
         bound: List[int] = []
         color = 0
@@ -163,8 +201,9 @@ def max_clique(
                 q = (q ^ lsb) & ~adj[v]
         return order, bound
 
-    def expand(r_mask: int, r_size: int, P: int):
-        order, bound = color_order(P)
+    def expand(r_mask: int, r_size: int, P: int, adj, root_v: int = 0):
+        # r_size == 1 at the root; r_size == 2 inside the root's branch root_v
+        order, bound = color_order(P, adj)
         for i in range(len(order) - 1, -1, -1):
             if r_size + bound[i] <= state["best_size"]:
                 return
@@ -172,21 +211,28 @@ def max_clique(
             vb = 1 << v
             if not P & vb:
                 continue
-            state["nodes"] += 1
-            if budget is not None and state["nodes"] > budget:
+            if budget is not None and state["nodes"] >= budget:
                 raise _Budget
-            P2 = P & adj[v]
+            state["nodes"] += 1
+            if r_size == 1:  # difference rule: P is D here
+                P2 = P & translate(P, v)
+                sub = {u: translate(P, u) & P2 for u in bits_of(P2)}
+            else:
+                P2 = P & adj[v]
+                sub = adj
             if P2:
-                expand(r_mask | vb, r_size + 1, P2)
+                expand(r_mask | vb, r_size + 1, P2, sub, v)
             elif r_size + 1 > state["best_size"]:
                 state["best_size"] = r_size + 1
                 state["best_mask"] = r_mask | vb
             P &= ~vb
+            if r_size == 2:  # pairing rule
+                P &= ~(1 << (v ^ root_v))
 
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, (1 << n) + 200))
     try:
-        expand(1, 1, adj[0])
+        expand(1, 1, adj[0], adj)
         optimal = True
     except _Budget:
         optimal = False
@@ -194,7 +240,7 @@ def max_clique(
         sys.setrecursionlimit(old_limit)
 
     witness = ElemSet(n, state["best_mask"])
-    assert verify_clique(G, witness)
+    _require(verify_clique(G, witness), "max_clique witness is not a clique")
     if optimal:
         method = "exact"
     elif state["best_mask"] == seed_mask:
@@ -210,7 +256,7 @@ def max_clique(
 def independence_number(G: CayleyGraph, budget: Optional[int] = None) -> CliqueOutcome:
     """Maximum independent set = maximum clique of the complement Cayley graph."""
     out = max_clique(G.complement(), budget=budget)
-    assert verify_independent(G, out.witness)
+    _require(verify_independent(G, out.witness), "independence witness is not independent")
     return out
 
 
@@ -226,7 +272,7 @@ def coset_coloring(G: CayleyGraph, V: Subspace) -> Coloring:
     Proper iff no generator lies in V \\ {0} (a within-coset pair (x, x+a)
     exists exactly when a is a nonzero element of V); violated preconditions
     report such a pair.  Uses 2^(n - dim V) colors.  Properness is re-checked
-    edge-by-edge for n <= 10; beyond that the precondition already proves it.
+    edge by edge all the same.
     """
     if V.n != G.n:
         raise PreconditionError("subspace lives in the wrong ambient dimension")
@@ -242,27 +288,33 @@ def coset_coloring(G: CayleyGraph, V: Subspace) -> Coloring:
         rep = V.reduce(x)
         colors.append(reps.setdefault(rep, len(reps)))
     col = Coloring(colors=tuple(colors), num_colors=len(reps))
-    if G.n <= 10:
-        assert verify_coloring(G, col)
+    _require(verify_coloring(G, col), "coset coloring is not proper")
     return col
 
 
 def verify_coloring(G: CayleyGraph, coloring: Coloring) -> bool:
-    colors = coloring.colors
-    for x in range(1 << G.n):
-        cx = colors[x]
-        for a in bits_of(G.generators.mask):
-            if colors[x ^ a] == cx:
-                return False
-    return True
+    """True iff every vertex has a color in [0, num_colors) and no edge
+    x ~ x + a joins two vertices of one color."""
+    N = 1 << G.n
+    colors = np.asarray(coloring.colors, dtype=np.int64)
+    if colors.shape != (N,) or colors.min() < 0 or colors.max() >= coloring.num_colors:
+        return False
+    x = np.arange(N)
+    return not any((colors[x ^ a] == colors).any() for a in bits_of(G.generators.mask))
 
 
 def greedy_coloring(G: CayleyGraph) -> Coloring:
-    """Deterministic saturation-guided greedy (plain greedy for n > 10)."""
+    """Deterministic saturation-guided greedy (plain greedy for n > 10).
+
+    DSATUR (Brelaz 1979): color next the uncolored vertex with the most
+    distinct neighbor colors, the lowest index among ties, with the smallest
+    color its neighbors lack.  Saturation is kept as a vertex-by-color table,
+    and the choice is one argmax of satcnt * N + (N - 1 - x).
+    """
     N = 1 << G.n
-    adj = G.adjacency_masks()
-    colors = [-1] * N
     if G.n > 10:
+        adj = G.adjacency_masks()
+        colors = [-1] * N
         for v in range(N):
             used = 0
             for u in bits_of(adj[v] & ((1 << v) - 1)):
@@ -272,21 +324,22 @@ def greedy_coloring(G: CayleyGraph) -> Coloring:
                 c += 1
             colors[v] = c
     else:
-        sat = [0] * N  # bitmask of neighbor colors
+        gens = np.fromiter(bits_of(G.generators.mask), dtype=np.int64)
+        sat = np.zeros((N, len(gens) + 2), dtype=bool)  # vertex x has a neighbor of color c
+        key = np.arange(N - 1, -1, -1, dtype=np.int64)  # satcnt * N + (N - 1 - x)
+        done = np.iinfo(np.int64).min // 2  # colored: below any uncolored key
+        colors = [-1] * N
         for _ in range(N):
-            v = max(
-                (x for x in range(N) if colors[x] == -1),
-                key=lambda x: (sat[x].bit_count(), -x),
-            )
-            c = 0
-            while (sat[v] >> c) & 1:
-                c += 1
+            v = int(key.argmax())
+            c = int(sat[v].argmin())  # v has at most |A| neighbor colors
             colors[v] = c
-            for u in bits_of(adj[v]):
-                sat[u] |= 1 << c
+            key[v] = done
+            nbrs = gens ^ v
+            fresh = ~sat[nbrs, c]
+            sat[nbrs, c] = True
+            key[nbrs[fresh]] += N
     col = Coloring(colors=tuple(colors), num_colors=max(colors) + 1)
-    if G.n <= 10:
-        assert verify_coloring(G, col)
+    _require(verify_coloring(G, col), "greedy coloring is not proper")
     return col
 
 
@@ -317,9 +370,9 @@ def _exact_chromatic(adj: List[int], N: int, lower: int, upper: int, budget: Opt
             if best == lower:
                 raise _Done
             return
-        state["nodes"] += 1
-        if budget is not None and state["nodes"] > budget:
+        if budget is not None and state["nodes"] >= budget:
             raise _Budget
+        state["nodes"] += 1
         # most saturated uncolored vertex, then lowest index
         bv, bused, bsat = -1, 0, (-1, 0)
         for v in range(N):
@@ -380,7 +433,7 @@ def chromatic_bracket(
     indep_sub = Subspace(n, comp_rep.witness_basis)
     if indep_sub.dim > 0:
         upper = min(upper, coset_coloring(G, indep_sub).num_colors)
-    assert lower <= upper
+    _require(lower <= upper, "chromatic bracket is inverted")
 
     exact = None
     if lower == upper:

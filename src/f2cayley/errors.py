@@ -1,6 +1,6 @@
 """Errors shared across the package."""
 
-__all__ = ["PreconditionError", "BudgetExceededError"]
+__all__ = ["PreconditionError", "BudgetExceededError", "InvariantError"]
 
 
 class PreconditionError(ValueError):
@@ -9,3 +9,7 @@ class PreconditionError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """An enumeration or search refused to start (or continue) past its budget."""
+
+
+class InvariantError(RuntimeError):
+    """A computed result failed its own certificate check: a bug, never bad input."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 from .gf2 import ElemSet, Subspace, bits_of, rref, xor_shift
 
 __all__ = [
@@ -62,7 +62,8 @@ def sym(S: ElemSet) -> Subspace:
         if xor_shift(S.mask, g, n) == S.mask:
             found.append(g)
     V = Subspace(n, rref(found))
-    assert V.size == len(found)  # stabilizers form a subgroup
+    if V.size != len(found):
+        raise InvariantError("stabilizers do not form a subgroup")
     return V
 
 
@@ -114,5 +115,6 @@ def doubling_stats(X: ElemSet) -> DoublingStats:
         raise PreconditionError("doubling_stats needs a nonempty set")
     s = sumset(X, X).size
     r = restricted_sumset(X, X).size
-    assert s == r + 1  # 0 = x + x is the only difference over F_2^n
+    if s != r + 1:  # 0 = x + x is the only difference over F_2^n
+        raise InvariantError(f"|X + X| = {s} but the restricted sumset has {r}")
     return DoublingStats(k=X.size, sum_size=s, restricted_size=r)

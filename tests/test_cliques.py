@@ -5,9 +5,12 @@ import pytest
 
 from f2cayley import (
     CayleyGraph,
+    Coloring,
     ElemSet,
+    InvariantError,
     PreconditionError,
     Subspace,
+    SubspaceCliqueReport,
     chromatic_bracket,
     coset_coloring,
     derive_seed,
@@ -24,6 +27,7 @@ from f2cayley import (
     verify_coloring,
     verify_independent,
 )
+from f2cayley import cliques
 
 
 def brute_max_clique(adj, N):
@@ -168,6 +172,169 @@ def test_clique_budget_exhaustion_keeps_witness():
     full = max_clique(G)
     assert full.optimal and full.method == "exact" and full.size == 10
     assert full.size >= improved.size >= seeded.size
+
+
+def test_budgets_stop_after_exactly_budget_nodes():
+    G = sample_cayley(7, 23)
+    for b in (1, 5, 16):
+        out = max_clique(G, budget=b)
+        assert not out.optimal and out.nodes == b
+    assert max_clique(G, budget=0).nodes == 0
+    G4 = sample_cayley(4, 99)
+    adj = G4.adjacency_masks()
+    full = cliques._exact_chromatic(adj, 16, 1, 17, None)
+    assert full[0] is not None and full[1] > 3
+    assert cliques._exact_chromatic(adj, 16, 1, 17, 3) == (None, 3)
+
+
+def brute_adjacency(n, a_mask):
+    """Neighbor masks from the pair rule x ~ y iff x + y is a generator."""
+    N = 1 << n
+    return [sum(1 << y for y in range(N) if y != x and (a_mask >> (x ^ y)) & 1)
+            for x in range(N)]
+
+
+def bron_kerbosch_max(adj, N):
+    """Largest clique by Bron-Kerbosch with Tomita pivoting over all N vertices,
+    skipping only branches that cannot beat the best size found."""
+    best = 0
+
+    def members(mask):
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    def bk(r, P, X):
+        nonlocal best
+        if not P:
+            if not X:
+                best = max(best, r)
+            return
+        if r + P.bit_count() <= best:
+            return
+        u = max(members(P | X), key=lambda w: (P & adj[w]).bit_count())
+        for v in members(P & ~adj[u]):
+            bk(r + 1, P & adj[v], X & adj[v])
+            P &= ~(1 << v)
+            X |= 1 << v
+
+    bk(0, (1 << N) - 1, 0)
+    return best
+
+
+# Graphs on which a wrong partner in the pairing rule (w + v + 1 or w + 1 in
+# place of w + v, or pairing below the third level) loses every copy of the
+# maximum clique when the search starts from the incumbent {0}.  Random
+# graphs almost never show such a fault, since nearly every maximum clique
+# keeps several copies in the search; these came from 8000 random generator
+# sets at n = 4..6.
+PAIRING_HARD_CASES = ((5, 0xB6BFFFFC), (6, 0xEECA3877E968357C), (6, 0xFF554FCEF365BED0))
+NO_SEED = SubspaceCliqueReport(counts={0: 1}, max_dim=0, complete=True, witness_basis=())
+
+
+def test_max_clique_from_bare_incumbent_on_hard_cases():
+    for n, a in PAIRING_HARD_CASES:
+        H = CayleyGraph(n, ElemSet(n, a))
+        out = max_clique(H, subspace_report=NO_SEED)
+        assert out.optimal and out.size == bron_kerbosch_max(brute_adjacency(n, a), 1 << n)
+        assert verify_clique(H, out.witness) and out.witness.size == out.size
+
+
+def test_max_clique_and_alpha_match_bron_kerbosch_at_n5_to_7():
+    # large enough for the difference and pairing rules below the root to fire
+    for n in (5, 6, 7):
+        N = 1 << n
+        for i in range(8):
+            G = sample_cayley(n, derive_seed(5_7, 100 * n + i))
+            Gc = G.complement()
+            omega = {id(H): bron_kerbosch_max(brute_adjacency(n, H.generators.mask), N)
+                     for H in (G, Gc)}
+            for H, Hc in ((G, Gc), (Gc, G)):
+                out = max_clique(H)
+                assert out.optimal and out.size == omega[id(H)] == out.witness.size
+                assert verify_clique(H, out.witness)
+                # from the incumbent {0} the search must find a maximum clique itself
+                bare = max_clique(H, subspace_report=NO_SEED)
+                assert bare.size == omega[id(H)] == bare.witness.size
+                assert verify_clique(H, bare.witness)
+                ind = independence_number(H)
+                assert ind.optimal and ind.size == omega[id(Hc)] == ind.witness.size
+                assert verify_independent(H, ind.witness)
+
+
+def reference_dsatur(G):
+    """The original O(N^2) pure-Python DSATUR: most saturated, then lowest index."""
+    N = 1 << G.n
+    adj = G.adjacency_masks()
+    colors = [-1] * N
+    sat = [0] * N  # bitmask of neighbor colors
+    for _ in range(N):
+        v = max(
+            (x for x in range(N) if colors[x] == -1),
+            key=lambda x: (sat[x].bit_count(), -x),
+        )
+        c = 0
+        while (sat[v] >> c) & 1:
+            c += 1
+        colors[v] = c
+        for u in range(N):
+            if (adj[v] >> u) & 1:
+                sat[u] |= 1 << c
+    return tuple(colors)
+
+
+def test_greedy_coloring_matches_reference_dsatur():
+    for n in range(2, 11):
+        for i in range(3 if n < 10 else 2):
+            G = sample_cayley(n, derive_seed(2_10, 10 * n + i))
+            for H in (G, G.complement()) if n < 10 else (G,):
+                col = greedy_coloring(H)
+                assert col.colors == reference_dsatur(H)
+                assert col.num_colors == max(col.colors) + 1
+
+
+def test_verify_coloring_rejects_broken_colorings():
+    G = sample_cayley(5, 31)
+    col = greedy_coloring(G)
+    assert verify_coloring(G, col)
+    a = G.generators.elements()[0]
+    clash = list(col.colors)
+    clash[a] = clash[0]  # 0 and a are adjacent
+    assert not verify_coloring(G, Coloring(tuple(clash), col.num_colors))
+    assert not verify_coloring(G, Coloring(col.colors, col.num_colors - 1))
+    assert not verify_coloring(G, Coloring(col.colors[:-1], col.num_colors))
+    negative = (-1,) + col.colors[1:]
+    assert not verify_coloring(G, Coloring(negative, col.num_colors))
+
+
+def test_invariant_checks_raise_on_broken_results(monkeypatch):
+    # a stale adjacency cache that claims every pair is an edge
+    G = sample_cayley(5, 8)
+    G._adj = [((1 << 32) - 1) & ~(1 << x) for x in range(32)]
+    with pytest.raises(InvariantError, match="not a clique"):
+        max_clique(G)
+    # a complement that is not one: its cliques are not independent in G
+    G = sample_cayley(5, 8)
+    G.complement = lambda: G
+    with pytest.raises(InvariantError, match="not independent"):
+        independence_number(G)
+    # the plain greedy path of n > 10 on an adjacency cache with no edges
+    G = sample_cayley(11, 8)
+    G._adj = [0] * (1 << 11)
+    with pytest.raises(InvariantError, match="greedy coloring"):
+        greedy_coloring(G)
+    G = sample_cayley(5, 8)
+    V = Subspace(5, subspace_cliques(G.complement()).witness_basis)
+    with monkeypatch.context() as m:
+        m.setattr(Subspace, "reduce", lambda self, x: 0)  # one coset for all
+        with pytest.raises(InvariantError, match="coset coloring"):
+            coset_coloring(G, V)
+    one_color = Coloring((0,) * 32, 1)
+    monkeypatch.setattr(cliques, "greedy_coloring", lambda H: one_color)
+    monkeypatch.setattr(cliques, "coset_coloring", lambda H, W: one_color)
+    with pytest.raises(InvariantError, match="inverted"):
+        chromatic_bracket(G)
 
 
 def test_independence_on_perfect_matching():

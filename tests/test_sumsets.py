@@ -6,6 +6,7 @@ import pytest
 
 from f2cayley import (
     ElemSet,
+    InvariantError,
     PreconditionError,
     doubling_stats,
     kneser_check,
@@ -15,6 +16,7 @@ from f2cayley import (
     sumset,
     sym,
 )
+from f2cayley import sumsets
 
 
 def _oracle_sumset(n, xs, ys):
@@ -118,3 +120,16 @@ def test_doubling_stats_identity_and_ratio():
         assert st.ratio == Fraction(st.sum_size, st.k)
     sq = doubling_stats(ElemSet.from_elements(2, [0, 1, 2, 3]))
     assert (sq.k, sq.sum_size, sq.ratio) == (4, 4, Fraction(1))
+
+
+def test_invariant_checks_raise_on_broken_results(monkeypatch):
+    X = ElemSet.from_elements(4, [0, 1, 2, 3])
+    with monkeypatch.context() as m:
+        m.setattr(sumsets, "restricted_sumset", lambda A, B: ElemSet(4, 0b10))
+        with pytest.raises(InvariantError, match="restricted sumset"):
+            doubling_stats(X)
+    # an rref that drops a row: the stabilizers {0,1,2,3} no longer span themselves
+    rref = sumsets.rref
+    monkeypatch.setattr(sumsets, "rref", lambda rows: rref(rows)[:1])
+    with pytest.raises(InvariantError, match="subgroup"):
+        sym(X)
