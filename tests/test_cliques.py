@@ -246,7 +246,7 @@ def test_max_clique_and_alpha_match_bron_kerbosch_at_n5_to_7():
     for n in (5, 6, 7):
         N = 1 << n
         for i in range(8):
-            G = sample_cayley(n, derive_seed(5_7, 100 * n + i))
+            G = sample_cayley(n, derive_seed(57, 100 * n + i))
             Gc = G.complement()
             omega = {id(H): bron_kerbosch_max(brute_adjacency(n, H.generators.mask), N)
                      for H in (G, Gc)}
@@ -264,7 +264,8 @@ def test_max_clique_and_alpha_match_bron_kerbosch_at_n5_to_7():
 
 
 def reference_dsatur(G):
-    """The original O(N^2) pure-Python DSATUR: most saturated, then lowest index."""
+    """Pure-Python O(N^2) DSATUR, most saturated then lowest index: the reference
+    that greedy_coloring must equal color for color."""
     N = 1 << G.n
     adj = G.adjacency_masks()
     colors = [-1] * N
@@ -287,7 +288,7 @@ def reference_dsatur(G):
 def test_greedy_coloring_matches_reference_dsatur():
     for n in range(2, 11):
         for i in range(3 if n < 10 else 2):
-            G = sample_cayley(n, derive_seed(2_10, 10 * n + i))
+            G = sample_cayley(n, derive_seed(210, 10 * n + i))
             for H in (G, G.complement()) if n < 10 else (G,):
                 col = greedy_coloring(H)
                 assert col.colors == reference_dsatur(H)
