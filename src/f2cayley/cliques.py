@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvariantError, PreconditionError
 from .cayley import CayleyGraph
-from .gf2 import ElemSet, Subspace, _level_mask, bits_of, rref, subspace_members, xor_shift
+from .gf2 import ElemSet, Subspace, _levels, bits_of, rref, subspace_members, xor_shift
 
 __all__ = [
     "CliqueOutcome",
@@ -78,7 +78,7 @@ def subspace_cliques(G: CayleyGraph) -> SubspaceCliqueReport:
     full = (1 << (1 << n)) - 1
     # step[p]: the v zero at position p with top bit above p, i.e. the rows
     # that may follow a row with pivot p; a pivot n - 1 leaves none
-    step = [_level_mask(n, p) & (full >> (2 << p) << (2 << p)) for p in range(n - 1)]
+    step = [low & (full >> (2 * s) << (2 * s)) for s, low in _levels(n)[:-1]]
     below_top = (1 << (1 << (n - 1))) - 1
     counts = {0: 1}
     rows: List[int] = []  # basis of the current H, pivots increasing
@@ -176,15 +176,6 @@ def max_clique(
     seed_mask = subspace_members(Subspace(n, rep.witness_basis)).mask
     state = {"best_mask": seed_mask, "best_size": seed_mask.bit_count(), "nodes": 0}
 
-    levels = [(1 << j, _level_mask(n, j)) for j in range(n)]
-
-    def translate(m: int, t: int) -> int:
-        # xor_shift(m, t, n) with the level masks fetched once per search
-        for s, low in levels:
-            if t & s:
-                m = ((m >> s) & low) | ((m & low) << s)
-        return m
-
     def color_order(P: int, adj) -> Tuple[List[int], List[int]]:
         order: List[int] = []
         bound: List[int] = []
@@ -215,8 +206,8 @@ def max_clique(
                 raise _Budget
             state["nodes"] += 1
             if r_size == 1:  # difference rule: P is D here
-                P2 = P & translate(P, v)
-                sub = {u: translate(P, u) & P2 for u in bits_of(P2)}
+                P2 = P & xor_shift(P, v, n)
+                sub = {u: xor_shift(P, u, n) & P2 for u in bits_of(P2)}
             else:
                 P2 = P & adj[v]
                 sub = adj

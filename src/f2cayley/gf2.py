@@ -31,7 +31,7 @@ __all__ = [
 
 MAX_SET_DIM = 20
 
-_LEVEL_MASKS: dict = {}
+_LEVELS: dict = {}  # n -> _levels(n)
 
 
 def bits_of(mask: int) -> Iterator[int]:
@@ -42,29 +42,24 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= lsb
 
 
-def _level_mask(n: int, j: int) -> int:
-    # positions p < 2^n whose j-th index bit is 0
-    key = (n, j)
-    m = _LEVEL_MASKS.get(key)
-    if m is None:
-        block = (1 << (1 << j)) - 1
-        period = 1 << (j + 1)
-        reps = 1 << (n - j - 1)
-        m = block * (((1 << (reps * period)) - 1) // ((1 << period) - 1))
-        _LEVEL_MASKS[key] = m
-    return m
+def _levels(n: int) -> Tuple[Tuple[int, int], ...]:
+    """Pairs (2^j, L_j) for j < n; L_j marks the positions p < 2^n whose
+    j-th index bit is 0."""
+    levels = _LEVELS.get(n)
+    if levels is None:
+        full = (1 << (1 << n)) - 1
+        levels = tuple(
+            (1 << j, ((1 << (1 << j)) - 1) * (full // ((1 << (2 << j)) - 1))) for j in range(n)
+        )
+        _LEVELS[n] = levels
+    return levels
 
 
 def xor_shift(mask: int, t: int, n: int) -> int:
     """Permute an ElemSet bitmask by the translation x -> x + t."""
-    j = 0
-    while t:
-        if t & 1:
-            s = 1 << j
-            low = _level_mask(n, j)
+    for s, low in _levels(n):
+        if t & s:
             mask = ((mask >> s) & low) | ((mask & low) << s)
-        t >>= 1
-        j += 1
     return mask
 
 
