@@ -18,7 +18,7 @@ from .errors import PreconditionError
 from .gf2 import ElemSet, xor_shift
 from .rng import coin_row
 
-__all__ = ["CayleyGraph", "sample_cayley", "from_generators"]
+__all__ = ["CayleyGraph", "sample_cayley"]
 
 MIN_N, MAX_N = 2, 13
 
@@ -96,8 +96,3 @@ def sample_cayley(n: int, seed: int) -> CayleyGraph:
     bits[0] = 0
     mask = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
     return CayleyGraph(n, ElemSet(n, mask), seed=seed)
-
-
-def from_generators(n: int, A: ElemSet) -> CayleyGraph:
-    """Wrap an explicit generator set (0 is removed silently)."""
-    return CayleyGraph(n, A)

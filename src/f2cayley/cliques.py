@@ -300,22 +300,21 @@ def greedy_coloring(G: CayleyGraph) -> Coloring:
     DSATUR (Brelaz 1979): color next the uncolored vertex with the most
     distinct neighbor colors, the lowest index among ties, with the smallest
     color its neighbors lack.  Saturation is kept as a vertex-by-color table,
-    and the choice is one argmax of satcnt * N + (N - 1 - x).
+    and the choice is one argmax of satcnt * N + (N - 1 - x).  Plain greedy
+    takes the vertices in index order; a vertex's neighbors are gens + v, and
+    those not yet colored hold the color |A| + 1, which no vertex gets.
     """
     N = 1 << G.n
+    gens = np.array(G.generators.elements(), dtype=np.int64)
     if G.n > 10:
-        adj = G.adjacency_masks()
-        colors = [-1] * N
+        free = len(gens) + 1
+        color_of = np.full(N, free, dtype=np.int64)
         for v in range(N):
-            used = 0
-            for u in bits_of(adj[v] & ((1 << v) - 1)):
-                used |= 1 << colors[u]
-            c = 0
-            while (used >> c) & 1:
-                c += 1
-            colors[v] = c
+            used = np.zeros(free + 1, dtype=bool)
+            used[color_of[gens ^ v]] = True
+            color_of[v] = used.argmin()  # at most |A| colors are used
+        colors = color_of.tolist()
     else:
-        gens = np.fromiter(bits_of(G.generators.mask), dtype=np.int64)
         sat = np.zeros((N, len(gens) + 2), dtype=bool)  # vertex x has a neighbor of color c
         key = np.arange(N - 1, -1, -1, dtype=np.int64)  # satcnt * N + (N - 1 - x)
         done = np.iinfo(np.int64).min // 2  # colored: below any uncolored key

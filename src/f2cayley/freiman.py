@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
+import numpy as np
 from mpmath import mp, mpf
 
 from .errors import BudgetExceededError, PreconditionError
@@ -261,10 +262,25 @@ class SklCensus:
         return rows
 
 
+_CENSUS_BLOCK_BYTES = 1 << 24
+
+
 def census_skl(n: int, k: int, budget: int = 10**8) -> SklCensus:
     """Exact census of all k-subsets of F_2^n by |X plus-distinct X|.
 
-    Subsets are enumerated in colex order with incremental pair-sum counts.
+    The subsets are split into blocks: a fixed prefix x_1 < ... < x_d and a
+    range [a, b) for x_{d+1}; a block holds C(N - a, k - d) - C(N - b, k - d)
+    subsets.  A block too large is halved on its range, or, when the range
+    is one value, that value joins the prefix.  Each block is then expanded
+    level by level in numpy (np.repeat offsets), every row carrying its
+    elements, |S(X)| and its pair sums S(X) as a bitmask of W = ceil(N / 64)
+    words (W = 0 for k <= 2, where no pair sum can repeat).  Adding v > max X
+    gives pair sums x + v, pairwise distinct, so
+    |S(X + v)| = |S(X)| + #{x in X : x + v not in S(X)}.  The last level ends
+    in one np.bincount.  A block holds at most
+    _CENSUS_BLOCK_BYTES // (8 (16 + k + W)) complete subsets, and no level
+    holds more rows than the last, which keeps the arrays of one block near
+    16 MiB at every admitted (n, k).
     Refuses if C(2^n, k) exceeds the budget.
     """
     N = 1 << n
@@ -273,34 +289,59 @@ def census_skl(n: int, k: int, budget: int = 10**8) -> SklCensus:
     total = math.comb(N, k)
     if total > budget:
         raise BudgetExceededError(f"C({N}, {k}) = {total} exceeds budget {budget}")
-    counts: Dict[int, int] = {}
-    pair_mult = [0] * N
-    chosen: List[int] = []
-    distinct = 0
-
-    def rec(start: int):
-        nonlocal distinct
-        depth = len(chosen)
-        for v in range(start, N - (k - depth - 1)):
-            for x in chosen:
-                s = x ^ v
-                if pair_mult[s] == 0:
-                    distinct += 1
-                pair_mult[s] += 1
-            chosen.append(v)
-            if depth + 1 == k:
-                counts[distinct] = counts.get(distinct, 0) + 1
-            else:
-                rec(v + 1)
-            chosen.pop()
-            for x in chosen:
-                s = x ^ v
-                pair_mult[s] -= 1
-                if pair_mult[s] == 0:
-                    distinct -= 1
-    rec(0)
+    words = (N + 63) >> 6 if k >= 3 else 0
+    cap = max(1, _CENSUS_BLOCK_BYTES // (8 * (16 + k + words)))
+    hist = np.zeros(min(k * (k - 1) // 2, N - 1) + 1, dtype=np.int64)
+    stack: List[Tuple[Tuple[int, ...], int, int]] = [((), 0, N - k + 1)]
+    while stack:
+        prefix, a, b = stack.pop()
+        rem = k - len(prefix)
+        if math.comb(N - a, rem) - math.comb(N - b, rem) <= cap:
+            _census_block(hist, prefix, a, b, N, k, words)
+        elif b - a > 1:
+            mid = (a + b) // 2
+            stack += [(prefix, mid, b), (prefix, a, mid)]
+        else:
+            stack.append((prefix + (a,), a + 1, N - rem + 2))
+    counts = {l: int(c) for l, c in enumerate(hist) if c}
     union = sum((Fraction(c, 1 << l) for l, c in counts.items()), Fraction(0))
     return SklCensus(n=n, k=k, counts=counts, total=total, union_bound=union)
+
+
+def _census_block(
+    hist: np.ndarray, prefix: Tuple[int, ...], a: int, b: int, N: int, k: int, words: int
+) -> None:
+    """Add to hist the k-subsets prefix + {v} + ... with a <= v < b."""
+    d = len(prefix)
+    elems = np.array(prefix, dtype=np.int64).reshape(1, d)
+    sums = {x ^ y for i, x in enumerate(prefix) for y in prefix[:i]}
+    S = np.zeros((1, words), dtype=np.uint64)
+    for s in sums:
+        S[0, s >> 6] |= np.uint64(1 << (s & 63))
+    dist = np.array([len(sums)], dtype=np.int64)
+    lo, hi = np.array([a], dtype=np.int64), b
+    one = np.uint64(1)
+    while True:
+        cnt = hi - lo  # each row's choices for the next element, lo .. hi - 1
+        rows = np.arange(int(cnt.sum()))
+        v = rows - np.repeat(np.cumsum(cnt) - cnt - lo, cnt)
+        last = d + 1 == k
+        S = np.repeat(S, cnt, axis=0)
+        dist = np.repeat(dist, cnt)
+        for j in range(d):
+            s = np.repeat(elems[:, j], cnt) ^ v
+            word, bit = s >> 6, one << (s & 63).astype(np.uint64)
+            w = S[rows, word] if d >= 2 else np.uint64(0)  # S(X) is empty below 2
+            dist += (w & bit) == 0
+            if not last:
+                S[rows, word] = w | bit
+        if last:
+            c = np.bincount(dist)
+            hist[: len(c)] += c
+            return
+        elems = np.column_stack([np.repeat(elems, cnt, axis=0), v])
+        d += 1
+        lo, hi = v + 1, N - (k - d - 1)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from f2cayley import (
+    CayleyGraph,
     ElemSet,
     ExperimentConfig,
     PreconditionError,
@@ -30,7 +31,6 @@ from f2cayley import (
     eqkn_check,
     expected_M,
     freiman_dimension,
-    from_generators,
     gaussian_binomial,
     kneser_check,
     max_clique,
@@ -151,20 +151,26 @@ def test_criterion_07_subspace_enumeration_totals():
             assert sum(1 for _ in enumerate_subspaces(n, m)) == gaussian_binomial(n, m)
 
 
-def _mc_mean_subspace_count(n, m, trials, base_seed, chunk=20_000):
-    """Mean of M_m over seeded samples, via the library's own coin stream."""
-    triples = [tuple(subspace_members(V))[1:] for V in enumerate_subspaces(n, m)]
+def _mc_mean_plane_count(n, trials, base_seed, chunk=20_000):
+    """Mean of M_2 over seeded samples, via the library's own coin stream.
+
+    The planes {0, a, b, a + b} are grouped by their least nonzero element a,
+    so one fancy-indexed op per a counts, in every sample at once, the
+    planes that have a as their least nonzero element.
+    """
+    pairs = {}
+    for V in enumerate_subspaces(n, 2):
+        a, b, c = tuple(subspace_members(V))[1:]
+        pairs.setdefault(a, []).append((b, c))
+    groups = [(a, *np.array(bc).T) for a, bc in pairs.items()]
     total = 0
     first_chunk = None
     for lo in range(0, trials, chunk):
         seeds = [derive_seed(base_seed, i) for i in range(lo, min(trials, lo + chunk))]
-        mat = coin_matrix(seeds, 1 << n)
+        coins = np.ascontiguousarray(coin_matrix(seeds, 1 << n).T)  # element-major
         acc = np.zeros(len(seeds), dtype=np.int64)
-        for tri in triples:
-            prod = mat[:, tri[0]]
-            for e in tri[1:]:
-                prod = prod & mat[:, e]
-            acc += prod
+        for a, bs, cs in groups:
+            acc += coins[a] * (coins[bs] & coins[cs]).sum(axis=0, dtype=np.int64)
         total += int(acc.sum())
         if first_chunk is None:
             first_chunk = (seeds, acc)
@@ -190,7 +196,7 @@ def test_criterion_08_moments_exact_and_monte_carlo():
     # seeded Monte Carlo at (6,2) and (8,2), 1e5 trials, within 4 SE
     trials = 100_000
     for n in (6, 8):
-        mean, (seeds, acc) = _mc_mean_subspace_count(n, 2, trials, 80_000 + n)
+        mean, (seeds, acc) = _mc_mean_plane_count(n, trials, 80_000 + n)
         e = float(expected_M(n, 2))
         se = math.sqrt(float(variance_M(n, 2)) / trials)
         assert abs(mean - e) <= 4 * se, (n, mean, e, 4 * se)
@@ -261,7 +267,7 @@ def test_criterion_11_clique_oracle_and_subspace_graphs():
     for n in range(2, 7):
         for dim in range(n + 1):
             for V in enumerate_subspaces(n, dim):
-                G = from_generators(n, subspace_members(V))
+                G = CayleyGraph(n, subspace_members(V))
                 assert max_clique(G).size == 1 << dim
 
 
@@ -304,7 +310,7 @@ def test_criterion_12_chromatic_consistency():
     for n in (2, 3, 4):
         for dim in range(n + 1):
             for V in enumerate_subspaces(n, dim):
-                G = from_generators(n, subspace_members(V))
+                G = CayleyGraph(n, subspace_members(V))
                 assert chromatic_bracket(G).exact == 1 << dim
 
 

@@ -11,10 +11,10 @@ from f2cayley import (
     PreconditionError,
     Subspace,
     SubspaceCliqueReport,
+    bits_of,
     chromatic_bracket,
     coset_coloring,
     derive_seed,
-    from_generators,
     gaussian_binomial,
     greedy_coloring,
     independence_number,
@@ -86,7 +86,7 @@ def test_subspace_graph_clique_counts():
     for n in (3, 4, 5):
         for dim in range(n + 1):
             V = next(iter(enumerate_subspaces(n, dim)))
-            G = from_generators(n, subspace_members(V))
+            G = CayleyGraph(n, subspace_members(V))
             rep = subspace_cliques(G)
             assert rep.max_dim == dim
             assert rep.complete
@@ -285,6 +285,31 @@ def reference_dsatur(G):
     return tuple(colors)
 
 
+def reference_plain_greedy(G):
+    """Pure-Python greedy in index order over the adjacency masks: the reference
+    that greedy_coloring must equal color for color when n > 10."""
+    N = 1 << G.n
+    adj = G.adjacency_masks()
+    colors = [-1] * N
+    for v in range(N):
+        used = 0
+        for u in bits_of(adj[v] & ((1 << v) - 1)):
+            used |= 1 << colors[u]
+        c = 0
+        while (used >> c) & 1:
+            c += 1
+        colors[v] = c
+    return tuple(colors)
+
+
+def test_greedy_coloring_matches_reference_plain_greedy():
+    for n, i in ((11, 0), (11, 1), (12, 0)):
+        G = sample_cayley(n, derive_seed(211, 10 * n + i))
+        col = greedy_coloring(G)
+        assert col.colors == reference_plain_greedy(G)
+        assert col.num_colors == max(col.colors) + 1
+
+
 def test_greedy_coloring_matches_reference_dsatur():
     for n in range(2, 11):
         for i in range(3 if n < 10 else 2):
@@ -320,11 +345,12 @@ def test_invariant_checks_raise_on_broken_results(monkeypatch):
     G.complement = lambda: G
     with pytest.raises(InvariantError, match="not independent"):
         independence_number(G)
-    # the plain greedy path of n > 10 on an adjacency cache with no edges
+    # the plain greedy path of n > 10 on a generator list with no edges
     G = sample_cayley(11, 8)
-    G._adj = [0] * (1 << 11)
-    with pytest.raises(InvariantError, match="greedy coloring"):
-        greedy_coloring(G)
+    with monkeypatch.context() as m:
+        m.setattr(ElemSet, "elements", lambda self: [])
+        with pytest.raises(InvariantError, match="greedy coloring"):
+            greedy_coloring(G)
     G = sample_cayley(5, 8)
     V = Subspace(5, subspace_cliques(G.complement()).witness_basis)
     with monkeypatch.context() as m:
@@ -341,7 +367,7 @@ def test_invariant_checks_raise_on_broken_results(monkeypatch):
 def test_independence_on_perfect_matching():
     # single generator: the graph is a perfect matching, alpha = 2^(n-1)
     for n in (3, 4):
-        G = from_generators(n, ElemSet.from_elements(n, [1]))
+        G = CayleyGraph(n, ElemSet.from_elements(n, [1]))
         out = independence_number(G)
         assert out.size == 1 << (n - 1)
         assert verify_independent(G, out.witness)
@@ -357,7 +383,7 @@ def test_coset_coloring_proper_and_sized():
 
 
 def test_coset_coloring_rejects_non_independent_subspace():
-    G = from_generators(3, ElemSet.from_elements(3, [1, 2]))
+    G = CayleyGraph(3, ElemSet.from_elements(3, [1, 2]))
     V = Subspace(3, (0b001,))  # 1 is a generator: 0 and 1 are adjacent
     with pytest.raises(PreconditionError) as exc:
         coset_coloring(G, V)
@@ -390,7 +416,7 @@ def test_chromatic_of_subspace_graph():
     for n in (2, 3, 4):
         for dim in range(n + 1):
             V = next(iter(enumerate_subspaces(n, dim)))
-            G = from_generators(n, subspace_members(V))
+            G = CayleyGraph(n, subspace_members(V))
             br = chromatic_bracket(G)
             assert br.exact == 1 << dim
 
@@ -405,6 +431,6 @@ def test_chromatic_bracket_accepts_precomputed_inputs():
 
 
 def test_verify_helpers_reject_bad_witnesses():
-    G = from_generators(3, ElemSet.from_elements(3, [1]))
+    G = CayleyGraph(3, ElemSet.from_elements(3, [1]))
     assert not verify_clique(G, ElemSet.from_elements(3, [0, 2]))
     assert not verify_independent(G, ElemSet.from_elements(3, [0, 1]))

@@ -1,6 +1,8 @@
 """Freiman dimension, doubling censuses, and the tail-exponent evaluator."""
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -117,6 +119,56 @@ def test_census_structure():
 def test_census_budget_refusal():
     with pytest.raises(BudgetExceededError):
         census_skl(13, 10)
+
+
+def oracle_census(n, k):
+    """Counts by |X plus-distinct X| from itertools.combinations and a set."""
+    counts = {}
+    for X in combinations(range(1 << n), k):
+        l = len({x ^ y for i, x in enumerate(X) for y in X[:i]})
+        counts[l] = counts.get(l, 0) + 1
+    return counts
+
+
+def test_census_matches_combinations_oracle():
+    cases = [(n, k) for n in range(1, 5) for k in range(1, (1 << n) + 1)
+             if math.comb(1 << n, k) <= 20_000]
+    assert len(cases) == 2 + 4 + 8 + 16
+    for n, k in cases:
+        c = census_skl(n, k)
+        assert c.counts == oracle_census(n, k), (n, k)
+        assert c.total == math.comb(1 << n, k)
+
+
+def test_census_closed_form_at_k4():
+    # a 4-set has 3 distinct pair sums iff its elements XOR to 0, else 6
+    for n in range(2, 7):
+        N = 1 << n
+        zero_sum = math.comb(N, 3) // 4
+        expected = {3: zero_sum, 6: math.comb(N, 4) - zero_sum}
+        assert census_skl(n, 4).counts == {l: c for l, c in expected.items() if c}, n
+
+
+def test_census_frozen_large_cases():
+    assert census_skl(5, 6).counts == {7: 17360, 12: 416640, 15: 472192}
+    assert census_skl(6, 4).counts == {3: 10416, 6: 624960}
+    # N = 128 > 64: the pair-sum bitmask spans two words
+    assert census_skl(7, 3).counts == {3: math.comb(128, 3)}
+
+
+def test_census_edge_sizes():
+    for n in range(1, 7):
+        N = 1 << n
+        assert census_skl(n, 1).counts == {0: N}
+        assert census_skl(n, 2).counts == {1: math.comb(N, 2)}
+        assert census_skl(n, N).counts == {N - 1: 1}  # X + X is every nonzero sum
+
+
+def test_census_budget_boundary():
+    total = math.comb(16, 3)
+    assert census_skl(4, 3, budget=total).total == total
+    with pytest.raises(BudgetExceededError):
+        census_skl(4, 3, budget=total - 1)
 
 
 def test_census_csv_rows():
