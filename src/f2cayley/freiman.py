@@ -279,8 +279,8 @@ def census_skl(n: int, k: int, budget: int = 10**8) -> SklCensus:
     |S(X + v)| = |S(X)| + #{x in X : x + v not in S(X)}.  The last level ends
     in one np.bincount.  A block holds at most
     _CENSUS_BLOCK_BYTES // (8 (16 + k + W)) complete subsets, and no level
-    holds more rows than the last, which keeps the arrays of one block near
-    16 MiB at every admitted (n, k).
+    holds more rows than the last, which keeps the arrays of one block
+    within about 16 MiB at every admitted (n, k).
     Refuses if C(2^n, k) exceeds the budget.
     """
     N = 1 << n
