@@ -136,6 +136,29 @@ class _Budget(Exception):
     pass
 
 
+# Rows of a local adjacency gathered at once, so that the index matrix of the
+# root's graph on A stays under 512 x 2^13 int64 entries (32 MiB) at n = 13.
+_GATHER_ROWS = 512
+
+
+def _local_graph(lab: np.ndarray, dbits: np.ndarray) -> Tuple[List[int], List[int]]:
+    """Adjacency and non-adjacency masks of the candidates `lab` relabelled
+    0..k-1 in the order given, where u ~ w iff lab[u] + lab[w] lies in the set
+    with indicator `dbits`.  dbits[0] must be False; the non-adjacency mask of
+    u leaves out u itself."""
+    k = len(lab)
+    adj: List[int] = []
+    for s in range(0, k, _GATHER_ROWS):
+        packed = np.packbits(dbits[lab[s:s + _GATHER_ROWS, None] ^ lab[None, :]], axis=1,
+                             bitorder="little")
+        w = packed.shape[1]
+        buf = packed.tobytes()
+        rows = [buf[i:i + w] for i in range(0, len(buf), w)]
+        adj.extend(map(int.from_bytes, rows, ["little"] * len(rows)))
+    full = (1 << k) - 1
+    return adj, [full ^ a ^ (1 << u) for u, a in enumerate(adj)]
+
+
 def max_clique(
     G: CayleyGraph,
     budget: Optional[int] = None,
@@ -165,82 +188,119 @@ def max_clique(
       the translation.
 
     Both rules drop only work that is done elsewhere, so the bound stays
-    valid and the result is exact; the witness is some maximum clique.  The
-    incumbent starts from the deepest subspace clique.  With a node budget
-    the search may stop early, after exactly `budget` nodes, returning the
-    incumbent with optimal=False.
+    valid and the result is exact; the witness is some maximum clique.
+
+    Each graph searched, the root's on A and each root branch's on P2, is
+    relabelled to local indices 0..k-1 in increasing order of its vertices
+    (as in BBMC, San Segundo et al. 2011), with its adjacency masks built by
+    one numpy gather of D at the pairwise sums; the partner w + v of the
+    pairing rule becomes a local index.  The order is kept, so every
+    coloring, branch and node is the one a search over the global labels
+    makes; only the masks are shorter.  A node with clique R colors its
+    candidates greedily, class by class, and lists only the vertices of
+    color at least kmin = best - |R| + 1 (MCQ, Tomita & Kameda 2007), the
+    only ones that could be branched on: once the classes done plus the
+    candidates left fall short of kmin, it stops coloring.
+
+    The incumbent starts from the deepest subspace clique.  With a node
+    budget the search may stop early, after exactly `budget` nodes,
+    returning the incumbent with optimal=False.
     """
     n = G.n
-    adj = G.adjacency_masks()
     rep = subspace_report if subspace_report is not None else subspace_cliques(G)
     seed_mask = subspace_members(Subspace(n, rep.witness_basis)).mask
-    state = {"best_mask": seed_mask, "best_size": seed_mask.bit_count(), "nodes": 0}
+    best_mask, best_size, nodes = seed_mask, seed_mask.bit_count(), 0
 
-    def color_order(P: int, adj) -> Tuple[List[int], List[int]]:
+    def color_order(P: int, nadj: List[int], kmin: int) -> Tuple[List[int], List[int]]:
         order: List[int] = []
         bound: List[int] = []
         color = 0
         while P:
             color += 1
+            if color - 1 + P.bit_count() < kmin:
+                break
             q = P
-            while q:
-                lsb = q & -q
-                v = lsb.bit_length() - 1
-                order.append(v)
-                bound.append(color)
-                P ^= lsb
-                q = (q ^ lsb) & ~adj[v]
+            if color < kmin:
+                while q:
+                    lsb = q & -q
+                    P ^= lsb
+                    q &= nadj[lsb.bit_length() - 1]
+            else:
+                while q:
+                    lsb = q & -q
+                    v = lsb.bit_length() - 1
+                    order.append(v)
+                    bound.append(color)
+                    P ^= lsb
+                    q &= nadj[v]
         return order, bound
 
-    def expand(r_mask: int, r_size: int, P: int, adj, root_v: int = 0):
-        # r_size == 1 at the root; r_size == 2 inside the root's branch root_v
-        order, bound = color_order(P, adj)
+    def expand(r_mask: int, r_size: int, P: int, adj: List[int], nadj: List[int],
+               lab: List[int], partner: Optional[List[int]]) -> None:
+        # inside one root branch: r_mask is global, P local; `partner` is
+        # given at the branch's first level, where the pairing rule applies
+        nonlocal best_mask, best_size, nodes
+        order, bound = color_order(P, nadj, best_size - r_size + 1)
         for i in range(len(order) - 1, -1, -1):
-            if r_size + bound[i] <= state["best_size"]:
+            if r_size + bound[i] <= best_size:
                 return
             v = order[i]
             vb = 1 << v
             if not P & vb:
                 continue
-            if budget is not None and state["nodes"] >= budget:
+            if budget is not None and nodes >= budget:
                 raise _Budget
-            state["nodes"] += 1
-            if r_size == 1:  # difference rule: P is D here
-                P2 = P & xor_shift(P, v, n)
-                sub = {u: xor_shift(P, u, n) & P2 for u in bits_of(P2)}
-            else:
-                P2 = P & adj[v]
-                sub = adj
+            nodes += 1
+            P2 = P & adj[v]
             if P2:
-                expand(r_mask | vb, r_size + 1, P2, sub, v)
-            elif r_size + 1 > state["best_size"]:
-                state["best_size"] = r_size + 1
-                state["best_mask"] = r_mask | vb
+                expand(r_mask | (1 << lab[v]), r_size + 1, P2, adj, nadj, lab, None)
+            elif r_size + 1 > best_size:
+                best_size = r_size + 1
+                best_mask = r_mask | (1 << lab[v])
             P &= ~vb
-            if r_size == 2:  # pairing rule
-                P &= ~(1 << (v ^ root_v))
+            if partner is not None:
+                P &= ~(1 << partner[v])
 
+    N = 1 << n
+    root = np.array(G.generators.elements(), dtype=np.int64)  # A, increasing
+    dbits = np.zeros(N, dtype=bool)  # D, the root candidates not yet branched
+    dbits[root] = True
+    _, root_nadj = _local_graph(root, dbits)
+    order, bound = color_order((1 << len(root)) - 1, root_nadj, best_size)
     old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, (1 << n) + 200))
+    sys.setrecursionlimit(max(old_limit, N + 200))
     try:
-        expand(1, 1, adj[0], adj)
+        for i in range(len(order) - 1, -1, -1):
+            if 1 + bound[i] <= best_size:
+                break
+            v = int(root[order[i]])
+            if budget is not None and nodes >= budget:
+                raise _Budget
+            nodes += 1
+            lab = root[dbits[root] & dbits[root ^ v]]  # P2 of the difference rule
+            if len(lab):
+                adj, nadj = _local_graph(lab, dbits)
+                partner = np.searchsorted(lab, lab ^ v).tolist()
+                expand(1 | (1 << v), 2, (1 << len(lab)) - 1, adj, nadj, lab.tolist(), partner)
+            elif 2 > best_size:
+                best_size, best_mask = 2, 1 | (1 << v)
+            dbits[v] = False
         optimal = True
     except _Budget:
         optimal = False
     finally:
         sys.setrecursionlimit(old_limit)
 
-    witness = ElemSet(n, state["best_mask"])
+    witness = ElemSet(n, best_mask)
     _require(verify_clique(G, witness), "max_clique witness is not a clique")
     if optimal:
         method = "exact"
-    elif state["best_mask"] == seed_mask:
+    elif best_mask == seed_mask:
         method = "subspace-seeded"
     else:
         method = "budget-exhausted"
     return CliqueOutcome(
-        size=state["best_size"], witness=witness, optimal=optimal, method=method,
-        nodes=state["nodes"],
+        size=best_size, witness=witness, optimal=optimal, method=method, nodes=nodes,
     )
 
 

@@ -54,10 +54,11 @@ _DENSITY_CHUNK = 1 << 20
 class NClass:
     """Classification of n by the fractional part of log2(n) + log2(log2(n)).
 
-    predicted_omega = 2^m_pred is the concentration value; in_t(eps) says
-    whether frac stays below 1 - eps.  near_tie marks values within 1e-9 of
-    an integer, where m_pred was settled by exact integer comparison but the
-    reported frac is only as good as the float evaluation.
+    predicted_omega = 2^m_pred is the concentration value; when classify_n is
+    given eps, in_t_eps says whether frac stays below 1 - eps.  near_tie marks
+    values within 1e-9 of an integer, where m_pred was settled by exact
+    integer comparison but the reported frac is only as good as the float
+    evaluation.
     """
 
     n: int
@@ -67,11 +68,6 @@ class NClass:
     near_tie: bool
     eps: Optional[float] = None
     in_t_eps: Optional[bool] = None
-
-    def in_t(self, eps: float) -> bool:
-        if not 0 < eps < 1:
-            raise PreconditionError("in_t needs 0 < eps < 1")
-        return self.frac < 1 - eps
 
 
 def _floor_exact(n: int, m: int) -> bool:
@@ -154,7 +150,6 @@ class SeqNiTerm:
 
     i: int
     eps: float
-    m: int
     log2_n: int
     n: Optional[int]
 
@@ -166,7 +161,7 @@ def seq_ni(eps: float, i: int) -> SeqNiTerm:
         raise PreconditionError("seq_ni needs 0 < eps <= 1")
     m = int(Fraction(1 << i) / (1 + Fraction(eps)))  # exact floor
     n = (1 << m) if m <= 64 else None
-    return SeqNiTerm(i=i, eps=eps, m=m, log2_n=m, n=n)
+    return SeqNiTerm(i=i, eps=eps, log2_n=m, n=n)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Clique, independence and coloring machinery against brute-force oracles."""
 import random
 
+import numpy as np
 import pytest
 
 from f2cayley import (
@@ -26,6 +27,7 @@ from f2cayley import (
     verify_clique,
     verify_coloring,
     verify_independent,
+    xor_shift,
 )
 from f2cayley import cliques
 
@@ -263,6 +265,115 @@ def test_max_clique_and_alpha_match_bron_kerbosch_at_n5_to_7():
                 assert verify_independent(H, ind.witness)
 
 
+class _RefBudget(Exception):
+    pass
+
+
+def reference_max_clique(G, budget=None, subspace_report=None):
+    """The search of max_clique over the global labels 0..2^n - 1, with the
+    difference and pairing rules but with no local labels and no kmin cut:
+    every vertex is colored and the branch loop does all the pruning.  The
+    reference that max_clique must equal node for node and witness for
+    witness; returns (size, witness mask, optimal, nodes)."""
+    n = G.n
+    adj = G.adjacency_masks()
+    rep = subspace_cliques(G) if subspace_report is None else subspace_report
+    seed = subspace_members(Subspace(n, rep.witness_basis)).mask
+    state = {"mask": seed, "size": seed.bit_count(), "nodes": 0}
+
+    def color_order(P, adj):
+        order, bound, color = [], [], 0
+        while P:
+            color += 1
+            q = P
+            while q:
+                v = (q & -q).bit_length() - 1
+                order.append(v)
+                bound.append(color)
+                P &= ~(1 << v)
+                q &= ~(1 << v) & ~adj[v]
+        return order, bound
+
+    def expand(r_mask, r_size, P, adj, root_v=0):
+        order, bound = color_order(P, adj)
+        for i in range(len(order) - 1, -1, -1):
+            if r_size + bound[i] <= state["size"]:
+                return
+            v = order[i]
+            if not (P >> v) & 1:
+                continue
+            if budget is not None and state["nodes"] >= budget:
+                raise _RefBudget
+            state["nodes"] += 1
+            if r_size == 1:  # P is D, the root candidates not yet branched
+                P2 = P & xor_shift(P, v, n)
+                sub = {u: xor_shift(P, u, n) & P2 for u in bits_of(P2)}
+            else:
+                P2, sub = P & adj[v], adj
+            if P2:
+                expand(r_mask | 1 << v, r_size + 1, P2, sub, v)
+            elif r_size + 1 > state["size"]:
+                state["size"], state["mask"] = r_size + 1, r_mask | 1 << v
+            P &= ~(1 << v)
+            if r_size == 2:
+                P &= ~(1 << (v ^ root_v))
+
+    try:
+        expand(1, 1, adj[0], adj)
+        optimal = True
+    except _RefBudget:
+        optimal = False
+    return state["size"], state["mask"], optimal, state["nodes"]
+
+
+def test_max_clique_matches_global_label_reference(monkeypatch):
+    # Root graphs of 118-262 vertices and root branches of 50-142, most not a
+    # multiple of 8, so the packed masks cross byte and 64-bit boundaries; the
+    # budget sweep stops the search inside root branches at many depths, and
+    # one graph (n = 8, i = 1, omega 10 > 2^3) improves on its seed there.
+    sizes = []
+    local_graph = cliques._local_graph
+
+    def recording_local_graph(lab, dbits):
+        sizes.append(len(lab))
+        return local_graph(lab, dbits)
+
+    monkeypatch.setattr(cliques, "_local_graph", recording_local_graph)
+    for n, i in ((8, 0), (8, 1), (9, 0)):
+        G = sample_cayley(n, derive_seed(11, i))
+        for H in (G, G.complement()):
+            rep = subspace_cliques(H)
+            seed = subspace_members(Subspace(n, rep.witness_basis)).mask
+            full = max_clique(H, subspace_report=rep)
+            for budget in (None,) + tuple(range(1, 61)):
+                out = full if budget is None else max_clique(H, budget, subspace_report=rep)
+                ref = reference_max_clique(H, budget, rep)
+                assert (out.size, out.witness.mask, out.optimal, out.nodes) == ref
+                assert out.witness.size == out.size and out.witness.mask & 1
+                assert verify_clique(H, out.witness)
+                if budget is not None and budget < full.nodes:
+                    assert out.nodes == budget and not out.optimal
+                    assert out.method == ("subspace-seeded" if out.witness.mask == seed
+                                          else "budget-exhausted")
+    assert max(sizes) > 256 and any(64 < k < 128 and k % 8 for k in sizes)
+
+
+def test_local_graph_rows_across_gather_blocks():
+    # 1100 candidates at n = 11 span three blocks of gathered rows, as the
+    # root's graph does from n = 11 up
+    rng = random.Random(1111)
+    n = 11
+    a = rng.getrandbits(1 << n) & ~1
+    lab = np.array(sorted(rng.sample(range(1, 1 << n), 1100)))
+    dbits = np.array([(a >> x) & 1 for x in range(1 << n)], dtype=bool)
+    adj, nadj = cliques._local_graph(lab, dbits)
+    assert len(adj) == len(nadj) == 1100 > 2 * cliques._GATHER_ROWS
+    for u in (0, 1, 511, 512, 513, 1023, 1024, 1099):
+        want = sum(1 << w for w in range(1100) if (a >> int(lab[u] ^ lab[w])) & 1)
+        assert adj[u] == want
+        assert nadj[u] == ((1 << 1100) - 1) & ~want & ~(1 << u)
+
+
 def reference_dsatur(G):
     """Pure-Python O(N^2) DSATUR, most saturated then lowest index: the reference
     that greedy_coloring must equal color for color."""
@@ -335,11 +446,13 @@ def test_verify_coloring_rejects_broken_colorings():
 
 
 def test_invariant_checks_raise_on_broken_results(monkeypatch):
-    # a stale adjacency cache that claims every pair is an edge
+    # local graphs that claim every pair is an edge
     G = sample_cayley(5, 8)
-    G._adj = [((1 << 32) - 1) & ~(1 << x) for x in range(32)]
-    with pytest.raises(InvariantError, match="not a clique"):
-        max_clique(G)
+    with monkeypatch.context() as m:
+        m.setattr(cliques, "_local_graph", lambda lab, dbits: (
+            [((1 << len(lab)) - 1) & ~(1 << u) for u in range(len(lab))], [0] * len(lab)))
+        with pytest.raises(InvariantError, match="not a clique"):
+            max_clique(G)
     # a complement that is not one: its cliques are not independent in G
     G = sample_cayley(5, 8)
     G.complement = lambda: G

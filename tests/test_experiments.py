@@ -54,12 +54,12 @@ def test_predicted_omega_monotone():
 
 
 def test_in_t_predicate():
-    c = classify_n(8)
-    assert c.in_t(0.25) and not c.in_t(0.5)
+    assert classify_n(8, eps=0.25).in_t_eps and not classify_n(8, eps=0.5).in_t_eps
     ce = classify_n(8, eps=0.4)
     assert ce.in_t_eps is True
+    assert classify_n(8).in_t_eps is None
     with pytest.raises(PreconditionError):
-        c.in_t(0.0)
+        classify_n(8, eps=0.0)
     with pytest.raises(PreconditionError):
         classify_n(1)
 
@@ -95,10 +95,10 @@ def test_density_preconditions():
 
 def test_seq_ni_terms():
     t = seq_ni(1, 3)  # m = floor(8/2) = 4
-    assert (t.m, t.n) == (4, 16)
-    assert seq_ni(0.5, 2).m == 2  # floor(4/1.5)
+    assert (t.log2_n, t.n) == (4, 16)
+    assert seq_ni(0.5, 2).log2_n == 2  # floor(4/1.5)
     big = seq_ni(1.0, 8)
-    assert big.n is None and big.m == 128  # beyond 64-bit cap: exponent form
+    assert big.n is None and big.log2_n == 128  # beyond 64-bit cap: exponent form
     with pytest.raises(PreconditionError):
         seq_ni(1, 0)
 
