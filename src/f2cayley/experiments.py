@@ -3,9 +3,10 @@
 The classifier evaluates x = log2(n) + log2(log2(n)), predicts a clique
 number of 2^floor(x), and reports the fractional part that decides whether n
 sits in the density-1 set where that prediction is sharp.  Powers of two are
-handled by exact integer arithmetic; everything else goes through floats
-with near-integer values re-decided by comparing n^n against 2^(2^m), which
-is exact.  The harness samples graphs, runs the clique and coloring
+handled by exact integer arithmetic; everything else goes through floats,
+with near-integer values re-decided exactly by interval arithmetic.  The
+density of that set up to n_max is counted exactly by bisecting for the n
+where the fractional part crosses its threshold.  The harness samples graphs, runs the clique and coloring
 machinery, and persists trial records whose bytes depend only on the config
 (timing excluded), regardless of worker count.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
+from mpmath.libmp import from_float, from_int, mpf_sign, mpi_add, mpi_div, mpi_log, mpi_sub
 
 from .cayley import MAX_N, MIN_N, sample_cayley
 from .cliques import chromatic_bracket, max_clique, subspace_cliques
@@ -47,7 +48,6 @@ __all__ = [
 ]
 
 _TIE_EPS = 1e-9
-_DENSITY_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ class NClass:
 
     predicted_omega = 2^m_pred is the concentration value; when classify_n is
     given eps, in_t_eps says whether frac stays below 1 - eps.  near_tie marks
-    values within 1e-9 of an integer, where m_pred was settled by exact
-    integer comparison but the reported frac is only as good as the float
+    values within 1e-9 of an integer, where m_pred was settled exactly (by
+    _reaches) but the reported frac is only as good as the float
     evaluation.
     """
 
@@ -70,12 +70,42 @@ class NClass:
     in_t_eps: Optional[bool] = None
 
 
-def _floor_exact(n: int, m: int) -> bool:
-    """Decide log2(n) + log2(log2(n)) >= m by integer arithmetic.
+def _reaches(n: int, m: int, t: float) -> bool:
+    """Decide x(n) = log2(n) + log2(log2(n)) >= m + t exactly, for 0 <= t < 1.
 
-    The inequality rearranges to n * log2(n) >= 2^m, i.e. n^n >= 2^(2^m).
+    The inequality is n * log2(n) >= 2^(m+t).  Equality needs n = 2^a and
+    t = 0 (see density_measure), and that case is decided on integers as
+    a * 2^a >= 2^m.  Otherwise the float x(n) decides when it lies more than
+    _TIE_EPS from m + t: for n <= 10^18, float(n) is off by a relative
+    2^-53, libm's log2 by about one ulp of a value below 64, and the sum by
+    one ulp of a value below 70, so the float x(n) errs by under 1e-13.
+    Closer calls are decided by outward-rounded mpmath intervals, at a
+    precision doubled until the interval for x(n) - (m + t) excludes 0;
+    the difference is nonzero, so this ends.  The precision is passed to
+    each interval operation, so no mpmath context setting changes.
+    classify_n calls this only where the float x(n) lies within _TIE_EPS
+    of m, so for its n, of any size, the intervals decide.
     """
-    return n ** n >= 1 << (1 << m)
+    if t == 0.0 and n & (n - 1) == 0:
+        a = n.bit_length() - 1
+        return a << a >= 1 << m
+    log2n = math.log2(n)
+    d = log2n + math.log2(log2n) - m - t
+    if abs(d) > _TIE_EPS:
+        return d > 0
+    two, nn = from_int(2), from_int(n)
+    y = mpi_add((from_int(m),) * 2, (from_float(t),) * 2)  # exact
+    prec = 64
+    while True:
+        ln2 = mpi_log((two, two), prec)
+        log2n = mpi_div(mpi_log((nn, nn), prec), ln2, prec)
+        x = mpi_add(log2n, mpi_div(mpi_log(log2n, prec), ln2, prec), prec)
+        lo, hi = mpi_sub(x, y, prec)
+        if mpf_sign(lo) > 0:
+            return True
+        if mpf_sign(hi) < 0:
+            return False
+        prec *= 2
 
 
 def classify_n(n: int, eps: Optional[float] = None) -> NClass:
@@ -98,7 +128,7 @@ def classify_n(n: int, eps: Optional[float] = None) -> NClass:
         near = frac < _TIE_EPS or frac > 1 - _TIE_EPS
         if near:
             m0 = round(x)
-            m_pred = m0 if _floor_exact(n, m0) else m0 - 1
+            m_pred = m0 if _reaches(n, m0, 0.0) else m0 - 1
             frac = min(max(x - m_pred, 0.0), math.nextafter(1.0, 0.0))
     in_t_eps = None
     if eps is not None:
@@ -121,18 +151,53 @@ class DensityReport:
     fraction: Fraction
 
 
+def _first_reaching(m: int, t: float, lo: int, hi: int) -> int:
+    """Smallest n in [lo, hi) with x(n) >= m + t, or hi if there is none."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _reaches(mid, m, t):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def density_measure(n_max: int, eps: float) -> DensityReport:
-    """Fraction of n in [2, n_max] whose frac stays below 1 - eps/24."""
-    if not 2 <= n_max <= 10 ** 7:
-        raise PreconditionError("density_measure needs 2 <= n_max <= 10^7")
+    """Exact count of n in [2, n_max] whose frac(x(n)) stays below t.
+
+    x(n) = log2(n) + log2(log2(n)) and t is the double 1.0 - eps / 24.0,
+    taken as the exact dyadic rational it holds.  x increases with n, so for
+    each integer m the n with m <= x(n) < m + t form one run, from the first
+    n with x(n) >= m to the first with x(n) >= m + t.  Both ends are found
+    by bisection; x(2) = 1 starts the first run, and the runs stop at the
+    first m that x(n_max) does not reach.  Each step of a bisection asks
+    whether n * log2(n) >= 2^(m+t) and answers it exactly (_reaches): by
+    the float x(n) when it is more than 1e-9 from m + t (its error is under
+    1e-13 for n <= 10^18), by mpmath intervals of doubling precision
+    otherwise, and by integers where equality can hold.
+
+    Equality n * log2(n) = 2^(m+t) holds only for n = 2^a with a a power of
+    two and t = 0.  If n is not a power of two, log2(n) is irrational, and
+    it is not algebraic either: by Gelfond-Schneider, 2^b for an algebraic
+    irrational b is transcendental, while 2^log2(n) = n is an integer.  But
+    t is rational, so 2^(m+t) is algebraic and 2^(m+t) / n cannot equal
+    log2(n).  If n = 2^a, then 2^(m+t) = a * 2^a is an integer, so 2^t is
+    rational, which for a rational t in [0, 1) forces t = 0.
+
+    The count is exact for every 2 <= n_max <= 10^18.
+    """
+    if not 2 <= n_max <= 10 ** 18:
+        raise PreconditionError("density_measure needs 2 <= n_max <= 10^18")
     if not 0 < eps < 1:
         raise PreconditionError("density_measure needs 0 < eps < 1")
     threshold = 1.0 - eps / 24.0
-    count = 0
-    for lo in range(2, n_max + 1, _DENSITY_CHUNK):
-        ns = np.arange(lo, min(n_max + 1, lo + _DENSITY_CHUNK), dtype=np.float64)
-        x = np.log2(ns) + np.log2(np.log2(ns))
-        count += int(((x - np.floor(x)) < threshold).sum())
+    end = n_max + 1
+    count, m, lo = 0, 1, 2
+    while lo <= n_max:
+        cut = _first_reaching(m, threshold, lo, end)
+        count += cut - lo
+        m += 1
+        lo = _first_reaching(m, 0.0, cut, end)
     total = n_max - 1
     return DensityReport(
         n_max=n_max, eps=eps, threshold=threshold,

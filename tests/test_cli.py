@@ -89,6 +89,10 @@ def test_classify_and_density(capsys):
     assert code2 == 0
     d2 = json.loads(out2)
     assert d2["count"] + 23 == d2["total"]  # frozen: 976 of 999 classified in
+    code3, out3 = run(capsys, "density", "--nmax", str(10**18), "--eps", "0.5")
+    assert code3 == 0
+    d3 = json.loads(out3)
+    assert (d3["count"], d3["total"]) == (982_231_999_139_726_956, 10**18 - 1)
 
 
 def test_bounds_negative_exponent(capsys):

@@ -1,9 +1,12 @@
 """Concentration classifier, optimality sequences, and the trial harness."""
 import json
 import math
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from mpmath import iv, mp
 
 from f2cayley import (
     ExperimentConfig,
@@ -18,7 +21,18 @@ from f2cayley import (
     seq_nj,
     summarize,
 )
-from f2cayley.experiments import _floor_exact, summary_header
+from f2cayley.experiments import _reaches, summary_header
+
+
+def reference_density_count(n_max, eps):
+    """The former density_measure: the float frac of every n, in numpy chunks."""
+    threshold = 1.0 - eps / 24.0
+    count = 0
+    for lo in range(2, n_max + 1, 1 << 20):
+        ns = np.arange(lo, min(n_max + 1, lo + (1 << 20)), dtype=np.float64)
+        x = np.log2(ns) + np.log2(np.log2(ns))
+        count += int(((x - np.floor(x)) < threshold).sum())
+    return count
 
 
 def test_classify_integer_points():
@@ -65,11 +79,26 @@ def test_in_t_predicate():
 
 
 def test_exact_floor_comparison():
-    # log2(8) + log2(log2(8)) = 4.58...: >= 4 but < 5, decided via n^n vs 2^(2^m)
-    assert _floor_exact(8, 4)
-    assert not _floor_exact(8, 5)
-    assert _floor_exact(100, 9)  # 100 * log2(100) = 664.4 >= 512
-    assert not _floor_exact(100, 10)
+    def oracle(n, m):  # log2(n) + log2(log2(n)) >= m  <=>  n^n >= 2^(2^m)
+        return n ** n >= 1 << (1 << m)
+
+    # log2(8) + log2(log2(8)) = 4.58...: >= 4 but < 5
+    assert _reaches(8, 4, 0.0) and oracle(8, 4)
+    assert not _reaches(8, 5, 0.0) and not oracle(8, 5)
+    assert _reaches(100, 9, 0.0) and oracle(100, 9)  # 100 * log2(100) = 664.4 >= 512
+    assert not _reaches(100, 10, 0.0) and not oracle(100, 10)
+    for n in range(2, 300):  # takes in the ties n = 2, 4, 16, 256
+        for m in range(1, 12):
+            assert _reaches(n, m, 0.0) == oracle(n, m), (n, m)
+
+
+def test_classify_large_near_tie_is_settled_fast():
+    n = 31_526_452_367  # x(n) lies within 2.4e-11 of 40
+    t0 = time.perf_counter()
+    c = classify_n(n)
+    assert time.perf_counter() - t0 < 1.0
+    assert c.m_pred == 40 and c.predicted_omega == 1 << 40 and c.near_tie
+    assert 0 < c.frac < 1e-10
 
 
 def test_density_counts_match_classifier():
@@ -90,7 +119,39 @@ def test_density_preconditions():
     with pytest.raises(PreconditionError):
         density_measure(100, 0.0)
     with pytest.raises(PreconditionError):
-        density_measure(10**7 + 1, 0.5)
+        density_measure(10**18 + 1, 0.5)
+
+
+def test_density_matches_reference_at_every_small_n_max():
+    for eps in (0.1, 0.5, 0.999):
+        for n_max in range(2, 3001):
+            assert density_measure(n_max, eps).count == reference_density_count(n_max, eps), (
+                n_max, eps)
+
+
+def test_density_frozen_counts():
+    assert density_measure(10**7, 0.5).count == 9_832_070
+    assert density_measure(10**7, 0.1).count == 9_966_232
+    d = density_measure(10**18, 0.5)
+    assert (d.count, d.total) == (982_231_999_139_726_956, 10**18 - 1)
+    assert d.fraction == Fraction(d.count, d.total)
+
+
+def test_density_counts_exact_ties():
+    # x(n) is an integer at n = 2, 4, 16, 2^16 (1, 3, 6, 20): frac 0 counts
+    for eps in (0.5, 0.999):
+        assert density_measure(2, eps).count == 1
+        for n in (4, 16, 1 << 16):
+            assert density_measure(n, eps).count == density_measure(n - 1, eps).count + 1
+            m = round(math.log2(n) + math.log2(math.log2(n)))
+            assert _reaches(n, m, 0.0) and not _reaches(n - 1, m, 0.0)
+
+
+def test_density_leaves_mpmath_precision_alone():
+    before = (iv.prec, mp.prec)
+    density_measure(10**18, 0.999)
+    classify_n(31_526_452_367)
+    assert (iv.prec, mp.prec) == before
 
 
 def test_seq_ni_terms():
