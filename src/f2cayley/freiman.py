@@ -23,7 +23,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 from mpmath import mp, mpf
 
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, InvariantError, PreconditionError
 from .gf2 import ElemSet, bits_of, cosets, enumerate_subspaces, rref, span, xor_shift
 from .sumsets import sumset
 
@@ -268,7 +268,18 @@ _CENSUS_BLOCK_BYTES = 1 << 24
 def census_skl(n: int, k: int, budget: int = 10**8) -> SklCensus:
     """Exact census of all k-subsets of F_2^n by |X plus-distinct X|.
 
-    The subsets are split into blocks: a fixed prefix x_1 < ... < x_d and a
+    Only the k-sets through the fixed points 0, ..., t - 1, t = min(k, 3),
+    are enumerated.  |X plus-distinct X| is invariant under every affine map
+    x -> Lx + c (the pair sums become L(x + y), and L is a bijection), and
+    AGL(n, 2) is 3-transitive on F_2^n: any three distinct points are
+    affinely independent over F_2, so some affine map sends 0, 1, 2 to them
+    in order.  Double counting the pairs (X, ordered t-tuple of distinct
+    points of X) with |X plus-distinct X| = l then gives
+    counts[l] k(k-1)...(k-t+1) = hist[l] N(N-1)...(N-t+1), where hist[l]
+    counts the k-sets through 0, ..., t - 1.  The division is exact; it and
+    the total C(N, k) are checked.
+
+    These subsets are split into blocks: a fixed prefix x_1 < ... < x_d and a
     range [a, b) for x_{d+1}; a block holds C(N - a, k - d) - C(N - b, k - d)
     subsets.  A block too large is halved on its range, or, when the range
     is one value, that value joins the prefix.  Each block is then expanded
@@ -280,7 +291,9 @@ def census_skl(n: int, k: int, budget: int = 10**8) -> SklCensus:
     in one np.bincount.  A block holds at most
     _CENSUS_BLOCK_BYTES // (8 (16 + k + W)) complete subsets, and no level
     holds more rows than the last, which keeps the arrays of one block
-    within about 16 MiB at every admitted (n, k).
+    within about 16 MiB at every admitted (n, k).  The first block, prefix
+    0, ..., t - 2 and range [t - 1, t), holds exactly the k-sets through
+    0, ..., t - 1.
     Refuses if C(2^n, k) exceeds the budget.
     """
     N = 1 << n
@@ -292,7 +305,8 @@ def census_skl(n: int, k: int, budget: int = 10**8) -> SklCensus:
     words = (N + 63) >> 6 if k >= 3 else 0
     cap = max(1, _CENSUS_BLOCK_BYTES // (8 * (16 + k + words)))
     hist = np.zeros(min(k * (k - 1) // 2, N - 1) + 1, dtype=np.int64)
-    stack: List[Tuple[Tuple[int, ...], int, int]] = [((), 0, N - k + 1)]
+    t = min(k, 3)
+    stack: List[Tuple[Tuple[int, ...], int, int]] = [(tuple(range(t - 1)), t - 1, t)]
     while stack:
         prefix, a, b = stack.pop()
         rem = k - len(prefix)
@@ -303,7 +317,15 @@ def census_skl(n: int, k: int, budget: int = 10**8) -> SklCensus:
             stack += [(prefix, mid, b), (prefix, a, mid)]
         else:
             stack.append((prefix + (a,), a + 1, N - rem + 2))
-    counts = {l: int(c) for l, c in enumerate(hist) if c}
+    num, den = math.perm(N, t), math.perm(k, t)
+    counts = {}
+    for l, c in enumerate(hist):
+        if c:
+            counts[l], leftover = divmod(int(c) * num, den)
+            if leftover:
+                raise InvariantError(f"{int(c)} sets through 0..{t - 1} with l = {l} do not scale")
+    if sum(counts.values()) != total:
+        raise InvariantError(f"census counts sum to {sum(counts.values())}, not C({N}, {k})")
     union = sum((Fraction(c, 1 << l) for l, c in counts.items()), Fraction(0))
     return SklCensus(n=n, k=k, counts=counts, total=total, union_bound=union)
 

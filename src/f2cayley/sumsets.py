@@ -1,7 +1,7 @@
 """Sumsets, restricted sumsets and small additive inequalities over F_2^n.
 
 X + Y is computed by OR-ing translates of the larger set's bitmask over the
-smaller set's elements.  The restricted sumset {x + y : x != y} is computed
+smaller set's elements, stopping once the space is covered.  The restricted sumset {x + y : x != y} is computed
 from its pairwise definition; over F_2^n it always equals (X + Y) \\ {0},
 which the tests use as an independent oracle.
 """
@@ -35,34 +35,48 @@ def sumset(X: ElemSet, Y: ElemSet) -> ElemSet:
     """X + Y = {x + y : x in X, y in Y}."""
     n = _same_ambient(X, Y)
     small, large = (X, Y) if X.size <= Y.size else (Y, X)
+    full = (1 << (1 << n)) - 1
     acc = 0
     for e in bits_of(small.mask):
         acc |= xor_shift(large.mask, e, n)
+        if acc == full:
+            break
     return ElemSet(n, acc)
 
 
 def restricted_sumset(X: ElemSet, Y: ElemSet) -> ElemSet:
     """X plus Y over pairs of distinct elements: {x + y : x != y}."""
     n = _same_ambient(X, Y)
+    nonzero = (1 << (1 << n)) - 2
     acc = 0
     for e in bits_of(X.mask):
         acc |= xor_shift(Y.mask & ~(1 << e), e, n)
+        if acc == nonzero:
+            break
     return ElemSet(n, acc)
 
 
 def sym(S: ElemSet) -> Subspace:
-    """Stabilizer Sym(S) = {g : g + S = S}, itself a subspace."""
+    """Stabilizer Sym(S) = {g : g + S = S}, itself a subspace.
+
+    Translation is a bijection, so Sym(S) = Sym(T) for T the smaller of S
+    and its complement, and for finite T, {g : g + T subset of T} = Sym(T).
+    That set is the intersection of T + s over s in T; the intersection
+    always holds 0 and stops shrinking once it is {0}.  An empty T (S the
+    whole space) leaves the whole space.
+    """
     if S.mask == 0:
         raise PreconditionError("Sym of the empty set is undefined")
     n = S.n
-    s0 = (S.mask & -S.mask).bit_length() - 1
-    found = []
-    # any stabilizer g satisfies g + s0 in S, so candidates are S + s0
-    for g in bits_of(xor_shift(S.mask, s0, n)):
-        if xor_shift(S.mask, g, n) == S.mask:
-            found.append(g)
-    V = Subspace(n, rref(found))
-    if V.size != len(found):
+    full = (1 << (1 << n)) - 1
+    T = min(S.mask, full ^ S.mask, key=int.bit_count)
+    stab = full
+    for s in bits_of(T):
+        stab &= xor_shift(T, s, n)
+        if stab == 1:
+            break
+    V = Subspace(n, rref(bits_of(stab)))
+    if V.size != stab.bit_count():
         raise InvariantError("stabilizers do not form a subgroup")
     return V
 

@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from f2cayley import (
     BudgetExceededError,
     ElemSet,
+    InvariantError,
     PreconditionError,
     census_skl,
     check_dim_bound,
@@ -20,6 +22,7 @@ from f2cayley import (
     tail_exponent,
     universal_freiman_rank,
 )
+from f2cayley import freiman
 
 SQUARE = ElemSet.from_elements(2, [0b00, 0b01, 0b10, 0b11])
 
@@ -138,6 +141,57 @@ def test_census_matches_combinations_oracle():
         c = census_skl(n, k)
         assert c.counts == oracle_census(n, k), (n, k)
         assert c.total == math.comb(1 << n, k)
+
+
+def reference_census(n, k):
+    """(counts, total, union_bound) over every k-subset of F_2^n.
+
+    The full block enumeration: the same _census_block expansion, started
+    from the empty prefix, with no scaling.
+    """
+    N = 1 << n
+    words = (N + 63) >> 6 if k >= 3 else 0
+    cap = max(1, freiman._CENSUS_BLOCK_BYTES // (8 * (16 + k + words)))
+    hist = np.zeros(min(k * (k - 1) // 2, N - 1) + 1, dtype=np.int64)
+    stack = [((), 0, N - k + 1)]
+    while stack:
+        prefix, a, b = stack.pop()
+        rem = k - len(prefix)
+        if math.comb(N - a, rem) - math.comb(N - b, rem) <= cap:
+            freiman._census_block(hist, prefix, a, b, N, k, words)
+        elif b - a > 1:
+            mid = (a + b) // 2
+            stack += [(prefix, mid, b), (prefix, a, mid)]
+        else:
+            stack.append((prefix + (a,), a + 1, N - rem + 2))
+    counts = {l: int(c) for l, c in enumerate(hist) if c}
+    union = sum((Fraction(c, 1 << l) for l, c in counts.items()), Fraction(0))
+    return counts, sum(counts.values()), union
+
+
+def test_census_matches_full_enumeration():
+    # Above N / 2 both sides cost O(k^2) numpy work per set (the reference
+    # alone took 16 s at (6, 60)), so there the cap on C(N, k) is 2 * 10^4.
+    cases = [(n, k) for n in range(0, 7) for k in range(1, (1 << n) + 1)
+             if math.comb(1 << n, k) <= (10**6 if 2 * k <= 1 << n else 2 * 10**4)]
+    cases += [(7, 3), (7, 4)]
+    assert len(cases) == 1 + 2 + 4 + 8 + 16 + 10 + 7 + 2
+    for n, k in cases:
+        c = census_skl(n, k)
+        assert (c.counts, c.total, c.union_bound) == reference_census(n, k), (n, k)
+
+
+@pytest.mark.parametrize("n, k, message", [(3, 5, "do not scale"), (5, 6, "sum to")])
+def test_census_rejects_a_miscount(monkeypatch, n, k, message):
+    block = freiman._census_block
+
+    def one_extra_set(hist, *args):
+        block(hist, *args)
+        hist[np.flatnonzero(hist)[-1]] += 1
+
+    monkeypatch.setattr(freiman, "_census_block", one_extra_set)
+    with pytest.raises(InvariantError, match=message):
+        census_skl(n, k)
 
 
 def test_census_closed_form_at_k4():

@@ -8,6 +8,8 @@ from f2cayley import (
     ElemSet,
     InvariantError,
     PreconditionError,
+    Subspace,
+    bits_of,
     doubling_stats,
     kneser_check,
     restricted_sumset,
@@ -15,6 +17,7 @@ from f2cayley import (
     subspace_members,
     sumset,
     sym,
+    xor_shift,
 )
 from f2cayley import sumsets
 
@@ -35,6 +38,90 @@ def test_sumsets_match_set_comprehension_oracle():
         Y = ElemSet(n, rng.getrandbits(1 << n) | 1 << rng.getrandbits(n))
         assert sumset(X, Y) == _oracle_sumset(n, X.elements(), Y.elements())
         assert restricted_sumset(X, Y) == _oracle_restricted(n, X.elements(), Y.elements())
+
+
+def reference_sumset(X, Y):
+    """X + Y over every translate of the larger set, with no early exit."""
+    small, large = (X, Y) if X.size <= Y.size else (Y, X)
+    acc = 0
+    for e in bits_of(small.mask):
+        acc |= xor_shift(large.mask, e, X.n)
+    return ElemSet(X.n, acc)
+
+
+def reference_restricted(X, Y):
+    acc = 0
+    for e in bits_of(X.mask):
+        acc |= xor_shift(Y.mask & ~(1 << e), e, X.n)
+    return ElemSet(X.n, acc)
+
+
+def reference_sym(S):
+    """Every g in S + s0 with g + S = S, s0 the least element of S."""
+    s0 = (S.mask & -S.mask).bit_length() - 1
+    found = [g for g in bits_of(xor_shift(S.mask, s0, S.n))
+             if xor_shift(S.mask, g, S.n) == S.mask]
+    return Subspace.from_vectors(S.n, found)
+
+
+def _random_set(rng, n):
+    """Each point kept with one of five probabilities, so that some sumsets
+    fill the space and some sets are larger than their complements."""
+    p = rng.choice((1 / 16, 1 / 4, 1 / 2, 3 / 4, 15 / 16))
+    return ElemSet.from_elements(n, [v for v in range(1 << n) if rng.random() < p])
+
+
+def _edge_sets(n):
+    """The whole space, a point, a coset of a 2-dimensional subspace and a
+    union of two cosets of a 3-dimensional one, each with its complement."""
+    N = 1 << n
+    sets = [ElemSet.full(n), ElemSet.from_elements(n, [N - 1])]
+    if n >= 3:
+        sets.append(ElemSet.from_elements(n, [(N - 1) ^ v for v in (0, 3, 5, 6)]))
+    if n >= 5:
+        V = [0, 3, 5, 6, 9, 10, 12, 15]  # span{3, 5, 9}
+        sets.append(ElemSet.from_elements(n, [v ^ c for v in V for c in (16, 17)]))
+    full = (1 << N) - 1
+    return sets + [ElemSet(n, full ^ S.mask) for S in sets if S.mask != full]
+
+
+def test_sumsets_and_sym_match_references():
+    rng = random.Random(808)
+    for n in range(0, 9):
+        sets = _edge_sets(n) + [_random_set(rng, n) for _ in range(40)]
+        for X in sets:
+            Y = rng.choice(sets)
+            assert sumset(X, Y) == reference_sumset(X, Y), (n, X, Y)
+            assert restricted_sumset(X, Y) == reference_restricted(X, Y), (n, X, Y)
+            if X.mask:
+                assert sym(X) == reference_sym(X), (n, X)
+
+
+def test_sym_of_edge_sets():
+    n = 6
+    full, point, coset2, cosets3, *complements = _edge_sets(n)
+    assert sym(full).dim == n and sym(point).dim == 0
+    assert sym(coset2).dim == 2 and sym(cosets3).dim == 4  # span{3, 5, 9, 1}
+    assert [sym(C).dim for C in complements] == [0, 2, 4]
+
+
+def test_early_exits_stop_translating(monkeypatch):
+    calls = []
+
+    def counted(mask, t, n):
+        calls.append(t)
+        return xor_shift(mask, t, n)
+
+    monkeypatch.setattr(sumsets, "xor_shift", counted)
+    # {0, 1, 2, 4, 8}: T + 0, T + 1, T + 2 already meet in {0}
+    assert sym(ElemSet.from_elements(4, [0, 1, 2, 4, 8])).dim == 0
+    assert calls == [0, 1, 2]
+    calls.clear()
+    assert sumset(ElemSet.full(3), ElemSet.full(3)) == ElemSet.full(3)
+    assert calls == [0]
+    calls.clear()
+    assert restricted_sumset(ElemSet.full(3), ElemSet.full(3)).size == 7
+    assert calls == [0]
 
 
 def test_sumset_requires_matching_ambient():
