@@ -9,7 +9,7 @@ vertex-transitive and |A|-regular.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -25,12 +25,11 @@ MIN_N, MAX_N = 2, 13
 
 @dataclass
 class CayleyGraph:
-    """Immutable by convention; adjacency bitmasks are built lazily."""
+    """Immutable by convention."""
 
     n: int
     generators: ElemSet
     seed: Optional[int] = None
-    _adj: Optional[List[int]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not MIN_N <= self.n <= MAX_N:
@@ -58,11 +57,9 @@ class CayleyGraph:
         return x != y and ((self.generators.mask >> (x ^ y)) & 1) == 1
 
     def adjacency_masks(self) -> List[int]:
-        """Per-vertex neighbor bitmasks (2^n masks of 2^n bits)."""
-        if self._adj is None:
-            a, n = self.generators.mask, self.n
-            self._adj = [xor_shift(a, v, n) for v in range(1 << n)]
-        return self._adj
+        """Per-vertex neighbor bitmasks (2^n masks of 2^n bits), built on each call."""
+        a, n = self.generators.mask, self.n
+        return [xor_shift(a, v, n) for v in range(1 << n)]
 
     def complement(self) -> "CayleyGraph":
         full = ((1 << (1 << self.n)) - 1) & ~1

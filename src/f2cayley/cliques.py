@@ -355,39 +355,24 @@ def verify_coloring(G: CayleyGraph, coloring: Coloring) -> bool:
 
 
 def greedy_coloring(G: CayleyGraph) -> Coloring:
-    """Deterministic saturation-guided greedy (plain greedy for n > 10).
+    """Deterministic plain greedy: vertices in index order, each with the
+    smallest color its earlier neighbors lack.
 
-    DSATUR (Brelaz 1979): color next the uncolored vertex with the most
-    distinct neighbor colors, the lowest index among ties, with the smallest
-    color its neighbors lack.  Saturation is kept as a vertex-by-color table,
-    and the choice is one argmax of satcnt * N + (N - 1 - x).  Plain greedy
-    takes the vertices in index order; a vertex's neighbors are gens + v, and
-    those not yet colored hold the color |A| + 1, which no vertex gets.
+    A vertex's neighbors are gens + v, and those not yet colored hold the
+    color |A| + 1, which no vertex gets.  `chromatic_bracket` does not call
+    it: on the random graphs tested, its color classes were the cosets of its
+    color-0 class, an independent subspace, so it never used fewer colors
+    than the coset coloring over the deepest one.
     """
     N = 1 << G.n
     gens = np.array(G.generators.elements(), dtype=np.int64)
-    if G.n > 10:
-        free = len(gens) + 1
-        color_of = np.full(N, free, dtype=np.int64)
-        for v in range(N):
-            used = np.zeros(free + 1, dtype=bool)
-            used[color_of[gens ^ v]] = True
-            color_of[v] = used.argmin()  # at most |A| colors are used
-        colors = color_of.tolist()
-    else:
-        sat = np.zeros((N, len(gens) + 2), dtype=bool)  # vertex x has a neighbor of color c
-        key = np.arange(N - 1, -1, -1, dtype=np.int64)  # satcnt * N + (N - 1 - x)
-        done = np.iinfo(np.int64).min // 2  # colored: below any uncolored key
-        colors = [-1] * N
-        for _ in range(N):
-            v = int(key.argmax())
-            c = int(sat[v].argmin())  # v has at most |A| neighbor colors
-            colors[v] = c
-            key[v] = done
-            nbrs = gens ^ v
-            fresh = ~sat[nbrs, c]
-            sat[nbrs, c] = True
-            key[nbrs[fresh]] += N
+    free = len(gens) + 1
+    color_of = np.full(N, free, dtype=np.int64)
+    for v in range(N):
+        used = np.zeros(free + 1, dtype=bool)
+        used[color_of[gens ^ v]] = True
+        color_of[v] = used.argmin()  # at most |A| colors are used
+    colors = color_of.tolist()
     col = Coloring(colors=tuple(colors), num_colors=max(colors) + 1)
     _require(verify_coloring(G, col), "greedy coloring is not proper")
     return col
@@ -460,8 +445,10 @@ def chromatic_bracket(
     lower = max(clique size found, ceil(N / alpha upper bound)); the alpha
     upper bound comes from the exact independence number when its search
     completes, else from a coset clique cover (N / 2^d cliques for a
-    qualifying d-dimensional subspace).  upper = min(greedy colors, coset
-    coloring over the best independent subspace of the complement).
+    qualifying d-dimensional subspace).  upper = N / 2^d', the colors of the
+    coset coloring over the deepest independent subspace (dimension d') that
+    `subspace_cliques` finds in the complement; d' = 0 gives N singleton
+    cosets, still a proper coloring.
     Callers that already hold the subspace report or the clique outcome for G
     can pass them in to skip recomputation.
     """
@@ -478,11 +465,7 @@ def chromatic_bracket(
         alpha_ub = min(alpha_ub, alpha.size)
     lower = max(omega.size, -(-N // alpha_ub))
 
-    greedy = greedy_coloring(G)
-    upper = greedy.num_colors
-    indep_sub = Subspace(n, comp_rep.witness_basis)
-    if indep_sub.dim > 0:
-        upper = min(upper, coset_coloring(G, indep_sub).num_colors)
+    upper = coset_coloring(G, Subspace(n, comp_rep.witness_basis)).num_colors
     _require(lower <= upper, "chromatic bracket is inverted")
 
     exact = None

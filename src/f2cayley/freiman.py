@@ -294,6 +294,9 @@ def census_skl(n: int, k: int, budget: int = 10**8) -> SklCensus:
     within about 16 MiB at every admitted (n, k).  The first block, prefix
     0, ..., t - 2 and range [t - 1, t), holds exactly the k-sets through
     0, ..., t - 1.
+    When 2k > N nothing is enumerated: for g != 0, |X| + |X + g| > N, so X
+    meets X + g, some x != y in X have x + y = g, and every k-set has
+    |X plus-distinct X| = N - 1.
     Refuses if C(2^n, k) exceeds the budget.
     """
     N = 1 << n
@@ -302,6 +305,16 @@ def census_skl(n: int, k: int, budget: int = 10**8) -> SklCensus:
     total = math.comb(N, k)
     if total > budget:
         raise BudgetExceededError(f"C({N}, {k}) = {total} exceeds budget {budget}")
+    counts = {N - 1: total} if 2 * k > N else _census_counts(N, k)
+    if sum(counts.values()) != total:
+        raise InvariantError(f"census counts sum to {sum(counts.values())}, not C({N}, {k})")
+    union = sum((Fraction(c, 1 << l) for l, c in counts.items()), Fraction(0))
+    return SklCensus(n=n, k=k, counts=counts, total=total, union_bound=union)
+
+
+def _census_counts(N: int, k: int) -> Dict[int, int]:
+    """The census counts by |X plus-distinct X|, from the k-sets through
+    0, ..., t - 1 scaled by N(N-1)...(N-t+1) / (k(k-1)...(k-t+1))."""
     words = (N + 63) >> 6 if k >= 3 else 0
     cap = max(1, _CENSUS_BLOCK_BYTES // (8 * (16 + k + words)))
     hist = np.zeros(min(k * (k - 1) // 2, N - 1) + 1, dtype=np.int64)
@@ -324,10 +337,7 @@ def census_skl(n: int, k: int, budget: int = 10**8) -> SklCensus:
             counts[l], leftover = divmod(int(c) * num, den)
             if leftover:
                 raise InvariantError(f"{int(c)} sets through 0..{t - 1} with l = {l} do not scale")
-    if sum(counts.values()) != total:
-        raise InvariantError(f"census counts sum to {sum(counts.values())}, not C({N}, {k})")
-    union = sum((Fraction(c, 1 << l) for l, c in counts.items()), Fraction(0))
-    return SklCensus(n=n, k=k, counts=counts, total=total, union_bound=union)
+    return counts
 
 
 def _census_block(

@@ -374,31 +374,9 @@ def test_local_graph_rows_across_gather_blocks():
         assert nadj[u] == ((1 << 1100) - 1) & ~want & ~(1 << u)
 
 
-def reference_dsatur(G):
-    """Pure-Python O(N^2) DSATUR, most saturated then lowest index: the reference
-    that greedy_coloring must equal color for color."""
-    N = 1 << G.n
-    adj = G.adjacency_masks()
-    colors = [-1] * N
-    sat = [0] * N  # bitmask of neighbor colors
-    for _ in range(N):
-        v = max(
-            (x for x in range(N) if colors[x] == -1),
-            key=lambda x: (sat[x].bit_count(), -x),
-        )
-        c = 0
-        while (sat[v] >> c) & 1:
-            c += 1
-        colors[v] = c
-        for u in range(N):
-            if (adj[v] >> u) & 1:
-                sat[u] |= 1 << c
-    return tuple(colors)
-
-
 def reference_plain_greedy(G):
     """Pure-Python greedy in index order over the adjacency masks: the reference
-    that greedy_coloring must equal color for color when n > 10."""
+    that greedy_coloring must equal color for color."""
     N = 1 << G.n
     adj = G.adjacency_masks()
     colors = [-1] * N
@@ -414,21 +392,39 @@ def reference_plain_greedy(G):
 
 
 def test_greedy_coloring_matches_reference_plain_greedy():
+    graphs = []
+    for n in range(2, 11):
+        for i in range(3 if n < 10 else 2):
+            G = sample_cayley(n, derive_seed(210, 10 * n + i))
+            graphs += [G, G.complement()]
     for n, i in ((11, 0), (11, 1), (12, 0)):
-        G = sample_cayley(n, derive_seed(211, 10 * n + i))
+        graphs.append(sample_cayley(n, derive_seed(211, 10 * n + i)))
+    for G in graphs:
         col = greedy_coloring(G)
         assert col.colors == reference_plain_greedy(G)
         assert col.num_colors == max(col.colors) + 1
 
 
-def test_greedy_coloring_matches_reference_dsatur():
-    for n in range(2, 11):
-        for i in range(3 if n < 10 else 2):
-            G = sample_cayley(n, derive_seed(210, 10 * n + i))
-            for H in (G, G.complement()) if n < 10 else (G,):
-                col = greedy_coloring(H)
-                assert col.colors == reference_dsatur(H)
-                assert col.num_colors == max(col.colors) + 1
+def test_greedy_colors_cosets_of_an_independent_subspace():
+    # Why chromatic_bracket needs no greedy coloring: greedy's classes are the
+    # cosets of its color-0 class, an independent subspace, so it never uses
+    # fewer colors than the cosets of the complement's deepest subspace.
+    for n in range(2, 10):
+        N = 1 << n
+        for i in range(12 if n < 7 else 3):
+            G = sample_cayley(n, derive_seed(212, 100 * n + i))
+            colors = greedy_coloring(G).colors
+            classes = [[] for _ in range(max(colors) + 1)]
+            for v, c in enumerate(colors):
+                classes[c].append(v)
+            base = set(classes[0])
+            assert {x ^ y for x in base for y in base} == base
+            for cls in classes:
+                assert set(cls) == {cls[0] ^ h for h in base}
+            cosets = N >> subspace_cliques(G.complement()).max_dim
+            assert cosets <= len(classes)
+            br = chromatic_bracket(G)
+            assert br.upper == cosets or br.exact is not None
 
 
 def test_verify_coloring_rejects_broken_colorings():
@@ -458,20 +454,18 @@ def test_invariant_checks_raise_on_broken_results(monkeypatch):
     G.complement = lambda: G
     with pytest.raises(InvariantError, match="not independent"):
         independence_number(G)
-    # the plain greedy path of n > 10 on a generator list with no edges
-    G = sample_cayley(11, 8)
+    # greedy coloring on a generator list with no edges
+    G = sample_cayley(5, 8)
     with monkeypatch.context() as m:
         m.setattr(ElemSet, "elements", lambda self: [])
         with pytest.raises(InvariantError, match="greedy coloring"):
             greedy_coloring(G)
-    G = sample_cayley(5, 8)
     V = Subspace(5, subspace_cliques(G.complement()).witness_basis)
     with monkeypatch.context() as m:
         m.setattr(Subspace, "reduce", lambda self, x: 0)  # one coset for all
         with pytest.raises(InvariantError, match="coset coloring"):
             coset_coloring(G, V)
     one_color = Coloring((0,) * 32, 1)
-    monkeypatch.setattr(cliques, "greedy_coloring", lambda H: one_color)
     monkeypatch.setattr(cliques, "coset_coloring", lambda H, W: one_color)
     with pytest.raises(InvariantError, match="inverted"):
         chromatic_bracket(G)

@@ -1,6 +1,7 @@
 """Freiman dimension, doubling censuses, and the tail-exponent evaluator."""
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -120,8 +121,9 @@ def test_census_structure():
 
 
 def test_census_budget_refusal():
-    with pytest.raises(BudgetExceededError):
-        census_skl(13, 10)
+    for n, k in ((13, 10), (8, 200)):  # 2k > N refuses too, without enumerating
+        with pytest.raises(BudgetExceededError):
+            census_skl(n, k)
 
 
 def oracle_census(n, k):
@@ -170,8 +172,8 @@ def reference_census(n, k):
 
 
 def test_census_matches_full_enumeration():
-    # Above N / 2 both sides cost O(k^2) numpy work per set (the reference
-    # alone took 16 s at (6, 60)), so there the cap on C(N, k) is 2 * 10^4.
+    # Above N / 2 the reference costs O(k^2) numpy work per set (16 s at
+    # (6, 60)), so there the cap on C(N, k) is 2 * 10^4.
     cases = [(n, k) for n in range(0, 7) for k in range(1, (1 << n) + 1)
              if math.comb(1 << n, k) <= (10**6 if 2 * k <= 1 << n else 2 * 10**4)]
     cases += [(7, 3), (7, 4)]
@@ -181,7 +183,7 @@ def test_census_matches_full_enumeration():
         assert (c.counts, c.total, c.union_bound) == reference_census(n, k), (n, k)
 
 
-@pytest.mark.parametrize("n, k, message", [(3, 5, "do not scale"), (5, 6, "sum to")])
+@pytest.mark.parametrize("n, k, message", [(5, 7, "do not scale"), (5, 6, "sum to")])
 def test_census_rejects_a_miscount(monkeypatch, n, k, message):
     block = freiman._census_block
 
@@ -216,6 +218,14 @@ def test_census_edge_sizes():
         assert census_skl(n, 1).counts == {0: N}
         assert census_skl(n, 2).counts == {1: math.comb(N, 2)}
         assert census_skl(n, N).counts == {N - 1: 1}  # X + X is every nonzero sum
+
+
+def test_census_above_half_needs_no_enumeration():
+    # 2k > N: X meets every X + g, so every k-set has all N - 1 nonzero sums
+    t0 = time.perf_counter()
+    c = census_skl(6, 60)
+    assert time.perf_counter() - t0 < 1.0
+    assert c.counts == {63: math.comb(64, 60)} and c.total == math.comb(64, 60)
 
 
 def test_census_budget_boundary():
