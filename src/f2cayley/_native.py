@@ -1,0 +1,60 @@
+"""Build and load the C clique search `_clique.c`.
+
+The library is compiled on first import with the C compiler Python was built
+with (sysconfig's CC) and cached as __pycache__/_clique-<tag>.so, where tag is
+the sha256 of the source and the compile command.  Each compile writes its own
+temporary file and renames it into place, so concurrent first imports all end
+with the one library.  There is no fallback: a failed compile fails the import
+with the compiler's stderr.
+"""
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shlex
+import sysconfig
+
+import numpy as np
+
+_HERE = os.path.dirname(os.path.abspath(__file__))
+SOURCE = os.path.join(_HERE, "_clique.c")
+COMMAND = tuple(shlex.split(sysconfig.get_config_var("CC") or "cc")) + ("-O2", "-shared", "-fPIC")
+
+
+def library_name(source: bytes) -> str:
+    return f"_clique-{hashlib.sha256(source + ' '.join(COMMAND).encode()).hexdigest()}.so"
+
+
+def _build() -> str:
+    with open(SOURCE, "rb") as fh:
+        source = fh.read()
+    cache = os.path.join(_HERE, "__pycache__")
+    path = os.path.join(cache, library_name(source))
+    if os.path.exists(path):
+        return path
+    import subprocess
+    import tempfile
+
+    os.makedirs(cache, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix="_clique-", suffix=".tmp", dir=cache)
+    os.close(fd)
+    try:
+        proc = subprocess.run(list(COMMAND) + ["-o", tmp, SOURCE], capture_output=True, text=True)
+        if proc.returncode:
+            raise ImportError(f"cannot compile {SOURCE}:\n{proc.stderr}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return path
+
+
+LIBRARY = _build()
+_i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
+max_clique = ctypes.CDLL(LIBRARY).f2c_max_clique
+max_clique.restype = ctypes.c_int
+max_clique.argtypes = [
+    ctypes.c_int32, _i32, ctypes.c_int32, ctypes.c_int32, ctypes.c_int32, ctypes.c_int64,
+    _i32, np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS"),
+]

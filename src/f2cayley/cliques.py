@@ -9,12 +9,12 @@ nodes, never wall time, so runs are reproducible.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from . import _native
 from .errors import InvariantError, PreconditionError
 from .cayley import CayleyGraph
 from .gf2 import ElemSet, Subspace, _levels, bits_of, rref, subspace_members, xor_shift
@@ -111,19 +111,28 @@ def subspace_cliques(G: CayleyGraph) -> SubspaceCliqueReport:
     )
 
 
+def _pair_sums(G: CayleyGraph, X: ElemSet, in_gens: bool) -> bool:
+    """Whether every sum x + y of distinct x, y in X is a generator (in_gens)
+    or none is (not in_gens); checked pair by pair, 256 rows of pairs at a
+    time."""
+    els = np.array(X.elements(), dtype=np.int64)
+    gens = np.zeros(1 << G.n, dtype=bool)
+    gens[G.generators.elements()] = True
+    gens[0] = in_gens  # x + x on the diagonal passes
+    for s in range(0, len(els), 256):
+        block = gens[els[s:s + 256, None] ^ els[None, :]]
+        if not (block.all() if in_gens else not block.any()):
+            return False
+    return True
+
+
 def verify_clique(G: CayleyGraph, X: ElemSet) -> bool:
     """Independent O(|X|^2) pairwise check."""
-    els = X.elements()
-    a = G.generators.mask
-    return all((a >> (els[i] ^ els[j])) & 1 for i in range(len(els)) for j in range(i + 1, len(els)))
+    return _pair_sums(G, X, True)
 
 
 def verify_independent(G: CayleyGraph, X: ElemSet) -> bool:
-    els = X.elements()
-    a = G.generators.mask
-    return not any(
-        (a >> (els[i] ^ els[j])) & 1 for i in range(len(els)) for j in range(i + 1, len(els))
-    )
+    return _pair_sums(G, X, False)
 
 
 def _require(ok: bool, what: str) -> None:
@@ -136,27 +145,29 @@ class _Budget(Exception):
     pass
 
 
-# Rows of a local adjacency gathered at once, so that the index matrix of the
-# root's graph on A stays under 512 x 2^13 int64 entries (32 MiB) at n = 13.
-_GATHER_ROWS = 512
+def _require_budget(budget: Optional[int]) -> None:
+    if budget is not None and budget < 0:
+        raise PreconditionError(f"search budget must be >= 0, got {budget}")
 
 
-def _local_graph(lab: np.ndarray, dbits: np.ndarray) -> Tuple[List[int], List[int]]:
-    """Adjacency and non-adjacency masks of the candidates `lab` relabelled
-    0..k-1 in the order given, where u ~ w iff lab[u] + lab[w] lies in the set
-    with indicator `dbits`.  dbits[0] must be False; the non-adjacency mask of
-    u leaves out u itself."""
-    k = len(lab)
-    adj: List[int] = []
-    for s in range(0, k, _GATHER_ROWS):
-        packed = np.packbits(dbits[lab[s:s + _GATHER_ROWS, None] ^ lab[None, :]], axis=1,
-                             bitorder="little")
-        w = packed.shape[1]
-        buf = packed.tobytes()
-        rows = [buf[i:i + w] for i in range(0, len(buf), w)]
-        adj.extend(map(int.from_bytes, rows, ["little"] * len(rows)))
-    full = (1 << k) - 1
-    return adj, [full ^ a ^ (1 << u) for u, a in enumerate(adj)]
+_NODES_MAX = (1 << 63) - 1
+
+
+def _search(n: int, gens: np.ndarray, seed_size: int,
+            budget: Optional[int]) -> Tuple[int, List[int], int, bool]:
+    """Run the C search (`_clique.c`) on the sorted generators `gens`.
+
+    Returns (best size, elements of the last improving clique, nodes, whether
+    the budget stopped it); the elements are empty when the seed was never
+    beaten."""
+    witness = np.zeros(1 << n, dtype=np.int32)
+    out = np.zeros(3, dtype=np.int64)
+    limit = min(budget or 0, _NODES_MAX)  # no search reaches 2^63 - 1 nodes
+    if _native.max_clique(n, gens, len(gens), seed_size, budget is not None, limit,
+                          witness, out):
+        raise MemoryError("max_clique search ran out of memory")
+    size, nodes, stopped = out.tolist()
+    return size, witness[:size].tolist() if size > seed_size else [], nodes, bool(stopped)
 
 
 def max_clique(
@@ -190,117 +201,41 @@ def max_clique(
     Both rules drop only work that is done elsewhere, so the bound stays
     valid and the result is exact; the witness is some maximum clique.
 
-    Each graph searched, the root's on A and each root branch's on P2, is
+    The search itself runs in C (`_clique.c`, built by `_native`).  Each
+    graph searched, the root's on A and each root branch's on P2, is
     relabelled to local indices 0..k-1 in increasing order of its vertices
-    (as in BBMC, San Segundo et al. 2011), with its adjacency masks built by
-    one numpy gather of D at the pairwise sums; the partner w + v of the
-    pairing rule becomes a local index.  The order is kept, so every
-    coloring, branch and node is the one a search over the global labels
-    makes; only the masks are shorter.  A node with clique R colors its
-    candidates greedily, class by class, and lists only the vertices of
-    color at least kmin = best - |R| + 1 (MCQ, Tomita & Kameda 2007), the
-    only ones that could be branched on: once the classes done plus the
-    candidates left fall short of kmin, it stops coloring.
+    and held as rows of 64-bit words (BBMC, San Segundo et al. 2011); the
+    partner w + v of the pairing rule becomes a local index.  The order is
+    kept, so every coloring, branch and node is the one a search over the
+    global labels makes.  A node with clique R colors its candidates
+    greedily, class by class, and lists only the vertices of color at least
+    kmin = best - |R| + 1 (MCQ, Tomita & Kameda 2007), the only ones that
+    could be branched on: once the classes done plus the candidates left
+    fall short of kmin, it stops coloring.
 
     The incumbent starts from the deepest subspace clique.  With a node
-    budget the search may stop early, after exactly `budget` nodes,
+    budget (>= 0) the search may stop early, after exactly `budget` nodes,
     returning the incumbent with optimal=False.
     """
+    _require_budget(budget)
     n = G.n
     rep = subspace_report if subspace_report is not None else subspace_cliques(G)
     seed_mask = subspace_members(Subspace(n, rep.witness_basis)).mask
-    best_mask, best_size, nodes = seed_mask, seed_mask.bit_count(), 0
-
-    def color_order(P: int, nadj: List[int], kmin: int) -> Tuple[List[int], List[int]]:
-        order: List[int] = []
-        bound: List[int] = []
-        color = 0
-        while P:
-            color += 1
-            if color - 1 + P.bit_count() < kmin:
-                break
-            q = P
-            if color < kmin:
-                while q:
-                    lsb = q & -q
-                    P ^= lsb
-                    q &= nadj[lsb.bit_length() - 1]
-            else:
-                while q:
-                    lsb = q & -q
-                    v = lsb.bit_length() - 1
-                    order.append(v)
-                    bound.append(color)
-                    P ^= lsb
-                    q &= nadj[v]
-        return order, bound
-
-    def expand(r_mask: int, r_size: int, P: int, adj: List[int], nadj: List[int],
-               lab: List[int], partner: Optional[List[int]]) -> None:
-        # inside one root branch: r_mask is global, P local; `partner` is
-        # given at the branch's first level, where the pairing rule applies
-        nonlocal best_mask, best_size, nodes
-        order, bound = color_order(P, nadj, best_size - r_size + 1)
-        for i in range(len(order) - 1, -1, -1):
-            if r_size + bound[i] <= best_size:
-                return
-            v = order[i]
-            vb = 1 << v
-            if not P & vb:
-                continue
-            if budget is not None and nodes >= budget:
-                raise _Budget
-            nodes += 1
-            P2 = P & adj[v]
-            if P2:
-                expand(r_mask | (1 << lab[v]), r_size + 1, P2, adj, nadj, lab, None)
-            elif r_size + 1 > best_size:
-                best_size = r_size + 1
-                best_mask = r_mask | (1 << lab[v])
-            P &= ~vb
-            if partner is not None:
-                P &= ~(1 << partner[v])
-
-    N = 1 << n
-    root = np.array(G.generators.elements(), dtype=np.int64)  # A, increasing
-    dbits = np.zeros(N, dtype=bool)  # D, the root candidates not yet branched
-    dbits[root] = True
-    _, root_nadj = _local_graph(root, dbits)
-    order, bound = color_order((1 << len(root)) - 1, root_nadj, best_size)
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, N + 200))
-    try:
-        for i in range(len(order) - 1, -1, -1):
-            if 1 + bound[i] <= best_size:
-                break
-            v = int(root[order[i]])
-            if budget is not None and nodes >= budget:
-                raise _Budget
-            nodes += 1
-            lab = root[dbits[root] & dbits[root ^ v]]  # P2 of the difference rule
-            if len(lab):
-                adj, nadj = _local_graph(lab, dbits)
-                partner = np.searchsorted(lab, lab ^ v).tolist()
-                expand(1 | (1 << v), 2, (1 << len(lab)) - 1, adj, nadj, lab.tolist(), partner)
-            elif 2 > best_size:
-                best_size, best_mask = 2, 1 | (1 << v)
-            dbits[v] = False
-        optimal = True
-    except _Budget:
-        optimal = False
-    finally:
-        sys.setrecursionlimit(old_limit)
+    gens = np.array(G.generators.elements(), dtype=np.int32)
+    best_size, elems, nodes, stopped = _search(n, gens, seed_mask.bit_count(), budget)
+    best_mask = sum(1 << x for x in elems) if elems else seed_mask
 
     witness = ElemSet(n, best_mask)
-    _require(verify_clique(G, witness), "max_clique witness is not a clique")
-    if optimal:
+    _require(witness.size == best_size and verify_clique(G, witness),
+             "max_clique witness is not a clique of the reported size")
+    if not stopped:
         method = "exact"
     elif best_mask == seed_mask:
         method = "subspace-seeded"
     else:
         method = "budget-exhausted"
     return CliqueOutcome(
-        size=best_size, witness=witness, optimal=optimal, method=method, nodes=nodes,
+        size=best_size, witness=witness, optimal=not stopped, method=method, nodes=nodes,
     )
 
 
@@ -452,6 +387,7 @@ def chromatic_bracket(
     Callers that already hold the subspace report or the clique outcome for G
     can pass them in to skip recomputation.
     """
+    _require_budget(budget)
     n, N = G.n, 1 << G.n
     rep = subspace_cliques(G) if subspace_report is None else subspace_report
     omega = clique if clique is not None else max_clique(G, budget=budget, subspace_report=rep)

@@ -363,6 +363,14 @@ def run_trial(
     return rec
 
 
+def _integer(name: str, x) -> int:
+    """x as an int when it is an integral number (an int, or a float such as
+    2.0); booleans, fractions, infinities and strings are refused."""
+    if isinstance(x, bool) or not (isinstance(x, int) or isinstance(x, float) and x.is_integer()):
+        raise PreconditionError(f"config {name} must be an integer, got {x!r}")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     ns: Tuple[int, ...]
@@ -375,9 +383,9 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         try:
-            ns = tuple(int(x) for x in d["ns"])
-            trials = int(d["trials"])
-            base_seed = int(d["base_seed"])
+            ns = tuple(_integer("ns entry", x) for x in d["ns"])
+            trials = _integer("trials", d["trials"])
+            base_seed = _integer("base_seed", d["base_seed"])
             clique_budget = d.get("clique_budget")
             chi_budget = d.get("chi_budget")
             out_dir = str(d["out_dir"])
@@ -388,7 +396,7 @@ class ExperimentConfig:
         if trials < 0:
             raise PreconditionError("config trials must be >= 0")
         for name, b in (("clique_budget", clique_budget), ("chi_budget", chi_budget)):
-            if b is not None and (not isinstance(b, int) or b <= 0):
+            if b is not None and _integer(name, b) <= 0:
                 raise PreconditionError(f"config {name} must be a positive integer")
         return cls(ns=ns, trials=trials, base_seed=base_seed,
                    clique_budget=clique_budget, chi_budget=chi_budget,

@@ -122,6 +122,14 @@ def test_precondition_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_negative_budget_exit_code(capsys):
+    assert main(["omega", "--n", "6", "--seed", "3", "--budget", "-5"]) == 2
+    assert main(["chi", "--n", "5", "--seed", "3", "--budget", "-1"]) == 2
+    assert "budget must be >= 0" in capsys.readouterr().err
+    code, out = run(capsys, "omega", "--n", "6", "--seed", "3", "--budget", "0")
+    assert code == 0 and json.loads(out)["nodes"] == 0
+
+
 def test_budget_exit_code(capsys):
     assert main(["skl", "--n", "13", "--k", "10"]) == 3
     capsys.readouterr()

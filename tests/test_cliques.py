@@ -1,7 +1,6 @@
 """Clique, independence and coloring machinery against brute-force oracles."""
 import random
 
-import numpy as np
 import pytest
 
 from f2cayley import (
@@ -269,12 +268,13 @@ class _RefBudget(Exception):
     pass
 
 
-def reference_max_clique(G, budget=None, subspace_report=None):
+def reference_max_clique(G, budget=None, subspace_report=None, branch_sizes=None):
     """The search of max_clique over the global labels 0..2^n - 1, with the
     difference and pairing rules but with no local labels and no kmin cut:
     every vertex is colored and the branch loop does all the pruning.  The
     reference that max_clique must equal node for node and witness for
-    witness; returns (size, witness mask, optimal, nodes)."""
+    witness; returns (size, witness mask, optimal, nodes).  The size of each
+    root branch's P2 that is searched is appended to `branch_sizes`."""
     n = G.n
     adj = G.adjacency_masks()
     rep = subspace_cliques(G) if subspace_report is None else subspace_report
@@ -308,6 +308,8 @@ def reference_max_clique(G, budget=None, subspace_report=None):
             if r_size == 1:  # P is D, the root candidates not yet branched
                 P2 = P & xor_shift(P, v, n)
                 sub = {u: xor_shift(P, u, n) & P2 for u in bits_of(P2)}
+                if branch_sizes is not None and P2:
+                    branch_sizes.append(P2.bit_count())
             else:
                 P2, sub = P & adj[v], adj
             if P2:
@@ -326,28 +328,22 @@ def reference_max_clique(G, budget=None, subspace_report=None):
     return state["size"], state["mask"], optimal, state["nodes"]
 
 
-def test_max_clique_matches_global_label_reference(monkeypatch):
+def test_max_clique_matches_global_label_reference():
     # Root graphs of 118-262 vertices and root branches of 50-142, most not a
-    # multiple of 8, so the packed masks cross byte and 64-bit boundaries; the
+    # multiple of 8, so the word rows cross byte and 64-bit boundaries; the
     # budget sweep stops the search inside root branches at many depths, and
     # one graph (n = 8, i = 1, omega 10 > 2^3) improves on its seed there.
     sizes = []
-    local_graph = cliques._local_graph
-
-    def recording_local_graph(lab, dbits):
-        sizes.append(len(lab))
-        return local_graph(lab, dbits)
-
-    monkeypatch.setattr(cliques, "_local_graph", recording_local_graph)
     for n, i in ((8, 0), (8, 1), (9, 0)):
         G = sample_cayley(n, derive_seed(11, i))
         for H in (G, G.complement()):
             rep = subspace_cliques(H)
             seed = subspace_members(Subspace(n, rep.witness_basis)).mask
             full = max_clique(H, subspace_report=rep)
+            sizes.append(H.generators.size)  # the root's graph
             for budget in (None,) + tuple(range(1, 61)):
                 out = full if budget is None else max_clique(H, budget, subspace_report=rep)
-                ref = reference_max_clique(H, budget, rep)
+                ref = reference_max_clique(H, budget, rep, sizes if budget is None else None)
                 assert (out.size, out.witness.mask, out.optimal, out.nodes) == ref
                 assert out.witness.size == out.size and out.witness.mask & 1
                 assert verify_clique(H, out.witness)
@@ -358,20 +354,60 @@ def test_max_clique_matches_global_label_reference(monkeypatch):
     assert max(sizes) > 256 and any(64 < k < 128 and k % 8 for k in sizes)
 
 
-def test_local_graph_rows_across_gather_blocks():
-    # 1100 candidates at n = 11 span three blocks of gathered rows, as the
-    # root's graph does from n = 11 up
+def test_max_clique_matches_reference_on_a_root_graph_of_many_words():
+    # 1100 generators at n = 11: the root's rows are 18 words long, the last
+    # one partly filled, and its coloring reads every row; root branches of
+    # about 280 candidates are searched to various depths
     rng = random.Random(1111)
     n = 11
-    a = rng.getrandbits(1 << n) & ~1
-    lab = np.array(sorted(rng.sample(range(1, 1 << n), 1100)))
-    dbits = np.array([(a >> x) & 1 for x in range(1 << n)], dtype=bool)
-    adj, nadj = cliques._local_graph(lab, dbits)
-    assert len(adj) == len(nadj) == 1100 > 2 * cliques._GATHER_ROWS
-    for u in (0, 1, 511, 512, 513, 1023, 1024, 1099):
-        want = sum(1 << w for w in range(1100) if (a >> int(lab[u] ^ lab[w])) & 1)
-        assert adj[u] == want
-        assert nadj[u] == ((1 << 1100) - 1) & ~want & ~(1 << u)
+    els = rng.sample(range(1, 1 << n), 1100)
+    H = CayleyGraph(n, ElemSet.from_elements(n, els))
+    rep = subspace_cliques(H)
+    sizes = []
+    for budget in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89):
+        out = max_clique(H, budget, subspace_report=rep)
+        ref = reference_max_clique(H, budget, rep, sizes)
+        assert (out.size, out.witness.mask, out.optimal, out.nodes) == ref
+        assert verify_clique(H, out.witness) and out.nodes == budget
+    assert H.generators.size == 1100 and any(k > 256 and k % 64 for k in sizes)
+
+
+def test_max_clique_on_empty_and_complete_generator_sets():
+    for n in range(2, 14):
+        N = 1 << n
+        empty = max_clique(CayleyGraph(n, ElemSet(n, 0)))
+        assert (empty.size, empty.witness.mask, empty.optimal, empty.nodes) == (1, 1, True, 0)
+        assert empty.method == "exact"
+        G = CayleyGraph(n, ElemSet(n, (1 << N) - 2))
+        # the seed is the whole space; its report is given, as enumerating
+        # every subspace of F_2^13 would never end
+        whole = SubspaceCliqueReport(counts={n: 1}, max_dim=n, complete=True,
+                                     witness_basis=tuple(1 << i for i in reversed(range(n))))
+        full = max_clique(G, subspace_report=whole)
+        assert (full.size, full.witness.mask, full.optimal, full.nodes) == (N, (1 << N) - 1, True, 0)
+        assert max_clique(G, budget=0, subspace_report=whole).optimal
+        if n <= 9:  # from {0}: one descent N - 1 levels deep, then every branch prunes
+            bare = max_clique(G, subspace_report=NO_SEED)
+            assert (bare.size, bare.witness.mask, bare.optimal) == (N, (1 << N) - 1, True)
+            assert bare.nodes == N - 1
+
+
+def test_max_clique_pins_omega_at_n11():
+    out = max_clique(sample_cayley(11, derive_seed(1, 0)))
+    assert (out.size, out.optimal, out.nodes) == (32, True, 281_965)
+    assert verify_clique(sample_cayley(11, derive_seed(1, 0)), out.witness)
+
+
+def test_negative_budgets_are_refused():
+    G = sample_cayley(5, 8)
+    for b in (-1, -5):
+        with pytest.raises(PreconditionError, match="budget"):
+            max_clique(G, budget=b)
+        with pytest.raises(PreconditionError, match="budget"):
+            chromatic_bracket(G, budget=b)
+    assert max_clique(G, budget=0).nodes == 0
+    # budgets beyond the kernel's 64-bit counter mean no limit
+    assert max_clique(G, budget=1 << 64) == max_clique(G)
 
 
 def reference_plain_greedy(G):
@@ -442,12 +478,27 @@ def test_verify_coloring_rejects_broken_colorings():
 
 
 def test_invariant_checks_raise_on_broken_results(monkeypatch):
-    # local graphs that claim every pair is an edge
+    # a kernel that reports a larger clique than the seed which is not one
     G = sample_cayley(5, 8)
+    seed_size = 1 << subspace_cliques(G).max_dim
+    fake = list(range(seed_size + 1))
+    assert not verify_clique(G, ElemSet.from_elements(5, fake))
+
+    def broken_kernel(n, gens, k, seed, has_budget, budget, witness, out):
+        witness[:len(fake)] = fake
+        out[:] = (len(fake), 7, 0)
+        return 0
+
     with monkeypatch.context() as m:
-        m.setattr(cliques, "_local_graph", lambda lab, dbits: (
-            [((1 << len(lab)) - 1) & ~(1 << u) for u in range(len(lab))], [0] * len(lab)))
+        m.setattr(cliques._native, "max_clique", broken_kernel)
         with pytest.raises(InvariantError, match="not a clique"):
+            max_clique(G)
+        # a size that its witness does not have
+        fake = [0]
+        with pytest.raises(InvariantError, match="not a clique"):
+            max_clique(G)
+        m.setattr(cliques._native, "max_clique", lambda *args: 2)
+        with pytest.raises(MemoryError):
             max_clique(G)
     # a complement that is not one: its cliques are not independent in G
     G = sample_cayley(5, 8)
