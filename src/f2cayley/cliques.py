@@ -10,6 +10,7 @@ nodes, never wall time, so runs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -146,8 +147,9 @@ class _Budget(Exception):
 
 
 def _require_budget(budget: Optional[int]) -> None:
-    if budget is not None and budget < 0:
-        raise PreconditionError(f"search budget must be >= 0, got {budget}")
+    if budget is not None and (isinstance(budget, bool) or not isinstance(budget, Integral)
+                               or budget < 0):
+        raise PreconditionError(f"search budget must be an integer >= 0, got {budget!r}")
 
 
 _NODES_MAX = (1 << 63) - 1
@@ -162,7 +164,7 @@ def _search(n: int, gens: np.ndarray, seed_size: int,
     beaten."""
     witness = np.zeros(1 << n, dtype=np.int32)
     out = np.zeros(3, dtype=np.int64)
-    limit = min(budget or 0, _NODES_MAX)  # no search reaches 2^63 - 1 nodes
+    limit = min(int(budget or 0), _NODES_MAX)  # no search reaches 2^63 - 1 nodes
     if _native.max_clique(n, gens, len(gens), seed_size, budget is not None, limit,
                           witness, out):
         raise MemoryError("max_clique search ran out of memory")

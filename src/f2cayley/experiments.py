@@ -364,11 +364,11 @@ def run_trial(
 
 
 def _integer(name: str, x) -> int:
-    """x as an int when it is an integral number (an int, or a float such as
-    2.0); booleans, fractions, infinities and strings are refused."""
-    if isinstance(x, bool) or not (isinstance(x, int) or isinstance(x, float) and x.is_integer()):
+    """x itself when it is an int; booleans, floats (2.0 too) and strings are
+    refused rather than coerced."""
+    if isinstance(x, bool) or not isinstance(x, int):
         raise PreconditionError(f"config {name} must be an integer, got {x!r}")
-    return int(x)
+    return x
 
 
 @dataclass(frozen=True)
@@ -386,8 +386,8 @@ class ExperimentConfig:
             ns = tuple(_integer("ns entry", x) for x in d["ns"])
             trials = _integer("trials", d["trials"])
             base_seed = _integer("base_seed", d["base_seed"])
-            clique_budget = d.get("clique_budget")
-            chi_budget = d.get("chi_budget")
+            clique_budget, chi_budget = (None if d.get(k) is None else _integer(k, d[k])
+                                         for k in ("clique_budget", "chi_budget"))
             out_dir = str(d["out_dir"])
         except (KeyError, TypeError, ValueError) as exc:
             raise PreconditionError(f"invalid config: {exc}") from exc
@@ -396,7 +396,7 @@ class ExperimentConfig:
         if trials < 0:
             raise PreconditionError("config trials must be >= 0")
         for name, b in (("clique_budget", clique_budget), ("chi_budget", chi_budget)):
-            if b is not None and _integer(name, b) <= 0:
+            if b is not None and b <= 0:
                 raise PreconditionError(f"config {name} must be a positive integer")
         return cls(ns=ns, trials=trials, base_seed=base_seed,
                    clique_budget=clique_budget, chi_budget=chi_budget,

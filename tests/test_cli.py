@@ -125,7 +125,7 @@ def test_precondition_exit_code(capsys):
 def test_negative_budget_exit_code(capsys):
     assert main(["omega", "--n", "6", "--seed", "3", "--budget", "-5"]) == 2
     assert main(["chi", "--n", "5", "--seed", "3", "--budget", "-1"]) == 2
-    assert "budget must be >= 0" in capsys.readouterr().err
+    assert "budget must be an integer >= 0" in capsys.readouterr().err
     code, out = run(capsys, "omega", "--n", "6", "--seed", "3", "--budget", "0")
     assert code == 0 and json.loads(out)["nodes"] == 0
 

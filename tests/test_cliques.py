@@ -1,6 +1,7 @@
 """Clique, independence and coloring machinery against brute-force oracles."""
 import random
 
+import numpy as np
 import pytest
 
 from f2cayley import (
@@ -400,12 +401,13 @@ def test_max_clique_pins_omega_at_n11():
 
 def test_negative_budgets_are_refused():
     G = sample_cayley(5, 8)
-    for b in (-1, -5):
+    for b in (-1, -5, 2.0, True):
         with pytest.raises(PreconditionError, match="budget"):
             max_clique(G, budget=b)
         with pytest.raises(PreconditionError, match="budget"):
             chromatic_bracket(G, budget=b)
     assert max_clique(G, budget=0).nodes == 0
+    assert max_clique(G, budget=np.int64(1)) == max_clique(G, budget=1)
     # budgets beyond the kernel's 64-bit counter mean no limit
     assert max_clique(G, budget=1 << 64) == max_clique(G)
 
