@@ -6,170 +6,22 @@ censuses, seeded random Cayley graphs with exact clique / chromatic
 computation, rational moments of the subspace-clique count, and a
 reproducible experiment harness.
 """
-from .errors import BudgetExceededError, InvariantError, PreconditionError
-from .gf2 import (
-    ElemSet,
-    Subspace,
-    bits_of,
-    cosets,
-    enumerate_subspaces,
-    gaussian_binomial,
-    rref,
-    rref_insert,
-    span,
-    subspace_members,
-    xor_shift,
-)
-from .sumsets import (
-    DoublingStats,
-    InequalityReport,
-    doubling_stats,
-    kneser_check,
-    restricted_sumset,
-    sandwich_check,
-    sumset,
-    sym,
-)
-from .freiman import (
-    CoverProbeReport,
-    DimBoundReport,
-    EvenZoharReport,
-    FreimanResult,
-    SklCensus,
-    TailExponent,
-    census_skl,
-    check_dim_bound,
-    check_even_zohar,
-    family_cover_probe,
-    freiman_dimension,
-    is_freiman_isomorphic,
-    tail_exponent,
-    universal_freiman_rank,
-)
-from .rng import coin, coin_matrix, coin_row, derive_seed, mix64
-from .cayley import CayleyGraph, sample_cayley
-from .cliques import (
-    ChromaticBracket,
-    CliqueOutcome,
-    Coloring,
-    SubspaceCliqueReport,
-    chromatic_bracket,
-    coset_coloring,
-    greedy_coloring,
-    independence_number,
-    max_clique,
-    subspace_cliques,
-    verify_clique,
-    verify_coloring,
-    verify_independent,
-)
-from .moments import (
-    EqknCheck,
-    MomentReport,
-    eqkn_check,
-    expected_M,
-    moment_report,
-    pairs_by_intersection,
-    variance_M,
-)
-from .experiments import (
-    DensityReport,
-    ExperimentConfig,
-    ExperimentResult,
-    NClass,
-    SeqNiTerm,
-    SeqNjTerm,
-    TrialRecord,
-    classify_n,
-    density_measure,
-    load_records,
-    run_experiment,
-    run_trial,
-    seq_ni,
-    seq_nj,
-    summarize,
-)
+from . import cayley, cliques, errors, experiments, freiman, gf2, moments, rng, sumsets
+from .errors import *
+from .gf2 import *
+from .sumsets import *
+from .freiman import *
+from .rng import *
+from .cayley import *
+from .cliques import *
+from .moments import *
+from .experiments import *
 
 __version__ = "0.1.0"
 
+# each module declares its public names once, in its own __all__
 __all__ = [
-    "BudgetExceededError",
-    "InvariantError",
-    "PreconditionError",
-    "ElemSet",
-    "Subspace",
-    "bits_of",
-    "xor_shift",
-    "rref",
-    "rref_insert",
-    "span",
-    "subspace_members",
-    "gaussian_binomial",
-    "enumerate_subspaces",
-    "cosets",
-    "sumset",
-    "restricted_sumset",
-    "sym",
-    "InequalityReport",
-    "kneser_check",
-    "sandwich_check",
-    "DoublingStats",
-    "doubling_stats",
-    "is_freiman_isomorphic",
-    "FreimanResult",
-    "freiman_dimension",
-    "universal_freiman_rank",
-    "DimBoundReport",
-    "check_dim_bound",
-    "EvenZoharReport",
-    "check_even_zohar",
-    "SklCensus",
-    "census_skl",
-    "TailExponent",
-    "tail_exponent",
-    "CoverProbeReport",
-    "family_cover_probe",
-    "mix64",
-    "coin",
-    "coin_row",
-    "coin_matrix",
-    "derive_seed",
-    "CayleyGraph",
-    "sample_cayley",
-    "CliqueOutcome",
-    "SubspaceCliqueReport",
-    "subspace_cliques",
-    "max_clique",
-    "independence_number",
-    "verify_clique",
-    "verify_independent",
-    "Coloring",
-    "coset_coloring",
-    "greedy_coloring",
-    "verify_coloring",
-    "ChromaticBracket",
-    "chromatic_bracket",
-    "pairs_by_intersection",
-    "expected_M",
-    "variance_M",
-    "MomentReport",
-    "moment_report",
-    "EqknCheck",
-    "eqkn_check",
-    "NClass",
-    "classify_n",
-    "DensityReport",
-    "density_measure",
-    "SeqNiTerm",
-    "seq_ni",
-    "SeqNjTerm",
-    "seq_nj",
-    "TrialRecord",
-    "run_trial",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "run_experiment",
-    "load_records",
-    "summarize",
-    "__version__",
-]
+    name
+    for module in (errors, gf2, sumsets, freiman, rng, cayley, cliques, moments, experiments)
+    for name in module.__all__
+] + ["__version__"]

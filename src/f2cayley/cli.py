@@ -121,10 +121,7 @@ def cmd_freiman_dim(args) -> Dict:
     n = args.n if args.n is not None else max(1, max(e.bit_length() for e in elems))
     X = ElemSet.from_elements(n, elems)
     res = freiman_dimension(X)
-    return {
-        "n": n, "k": X.size, "r": res.r, "method": res.method,
-        "witness": _hexlist(res.witness.elements()),
-    }
+    return {"n": n, "k": X.size, "r": res.r, "witness": _hexlist(res.witness.elements())}
 
 
 def cmd_classify(args) -> Dict:

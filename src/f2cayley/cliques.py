@@ -295,21 +295,27 @@ def greedy_coloring(G: CayleyGraph) -> Coloring:
     """Deterministic plain greedy: vertices in index order, each with the
     smallest color its earlier neighbors lack.
 
-    A vertex's neighbors are gens + v, and those not yet colored hold the
-    color |A| + 1, which no vertex gets.  `chromatic_bracket` does not call
-    it: on the random graphs tested, its color classes were the cosets of its
-    color-0 class, an independent subspace, so it never used fewer colors
-    than the coset coloring over the deepest one.
+    The earlier neighbors of v are v + a for the generators a whose top bit
+    is set in v, so color(v) is the Grundy value of v in a coin-turning game:
+    a move turns the coins of some a in A, and a's top coin must go from
+    heads to tails.  By the Turning Turtles theorem (Berlekamp, Conway and
+    Guy, Winning Ways, ch. 14; Conway and Sloane's proof that lexicodes are
+    linear) that value is the XOR of the values of v's bits, so the coloring
+    is linear: its color classes are the cosets of the color-0 class, an
+    independent subspace.  The value of bit i is the least color missing
+    from the a + 2^i, a in A with top bit i, all below 2^i; doubling the
+    colors of 0 .. 2^i - 1 by it gives those of 2^i .. 2^(i+1) - 1.
+    `chromatic_bracket` does not call it: it never uses fewer colors than
+    the coset coloring over the complement's deepest subspace.
     """
-    N = 1 << G.n
-    gens = np.array(G.generators.elements(), dtype=np.int64)
-    free = len(gens) + 1
-    color_of = np.full(N, free, dtype=np.int64)
-    for v in range(N):
-        used = np.zeros(free + 1, dtype=bool)
-        used[color_of[gens ^ v]] = True
-        color_of[v] = used.argmin()  # at most |A| colors are used
-    colors = color_of.tolist()
+    by_top: List[List[int]] = [[] for _ in range(G.n)]
+    for a in G.generators.elements():
+        by_top[a.bit_length() - 1].append(a)
+    colors = [0]
+    for i, gens in enumerate(by_top):
+        taken = {colors[a ^ (1 << i)] for a in gens}
+        g = next(c for c in range(len(taken) + 1) if c not in taken)
+        colors += [c ^ g for c in colors]
     col = Coloring(colors=tuple(colors), num_colors=max(colors) + 1)
     _require(verify_coloring(G, col), "greedy coloring is not proper")
     return col

@@ -17,8 +17,9 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from mpmath.libmp import from_float, from_int, mpf_sign, mpi_add, mpi_div, mpi_log, mpi_sub
@@ -308,30 +309,17 @@ class TrialRecord:
             raise PreconditionError(f"{where}: chi_exact outside bracket")
 
     def to_json(self) -> str:
-        d = {
-            "n": self.n, "seed": self.seed, "a_size": self.a_size,
-            "omega_size": self.omega_size, "omega_optimal": self.omega_optimal,
-            "max_subspace_dim": self.max_subspace_dim,
-            "m_counts": {str(k): v for k, v in self.m_counts.items()},
-            "chi_lower": self.chi_lower, "chi_upper": self.chi_upper,
-            "chi_exact": self.chi_exact, "predicted_omega": self.predicted_omega,
-            "elapsed": self.elapsed, "nodes": self.nodes,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["m_counts"] = {str(k): v for k, v in self.m_counts.items()}
         return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, line: str) -> "TrialRecord":
         d = json.loads(line)
         try:
-            rec = cls(
-                n=d["n"], seed=d["seed"], a_size=d["a_size"],
-                omega_size=d["omega_size"], omega_optimal=d["omega_optimal"],
-                max_subspace_dim=d["max_subspace_dim"],
-                m_counts={int(k): v for k, v in d["m_counts"].items()},
-                chi_lower=d["chi_lower"], chi_upper=d["chi_upper"],
-                chi_exact=d["chi_exact"], predicted_omega=d["predicted_omega"],
-                elapsed=d["elapsed"], nodes=d["nodes"],
-            )
+            kw = {f.name: d[f.name] for f in fields(cls)}
+            kw["m_counts"] = {int(k): v for k, v in kw["m_counts"].items()}
+            rec = cls(**kw)
         except (KeyError, TypeError, ValueError) as exc:
             raise PreconditionError(f"malformed trial record: {exc}") from exc
         rec.validate()
@@ -420,11 +408,6 @@ class ExperimentResult:
     summary_lines: Tuple[str, ...]
 
 
-def _trial_task(args: Tuple[int, int, int, Optional[int], Optional[int]]):
-    idx, n, seed, cb, xb = args
-    return idx, run_trial(n, seed, clique_budget=cb, chi_budget=xb)
-
-
 def summary_header() -> str:
     return ("n,trials,predicted_omega,match_rate,"
             "mean_chi_lower,mean_chi_upper,omega_hist,maxdim_hist")
@@ -471,23 +454,14 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     """
     if workers < 1:
         raise PreconditionError("run_experiment needs workers >= 1")
-    tasks = []
-    idx = 0
-    for n in config.ns:
-        for _ in range(config.trials):
-            tasks.append((idx, n, derive_seed(config.base_seed, idx),
-                          config.clique_budget, config.chi_budget))
-            idx += 1
-    results: Dict[int, TrialRecord] = {}
-    if workers == 1 or len(tasks) <= 1:
-        for t in tasks:
-            i, rec = _trial_task(t)
-            results[i] = rec
+    ns = [n for n in config.ns for _ in range(config.trials)]
+    seeds = [derive_seed(config.base_seed, i) for i in range(len(ns))]
+    trial = partial(run_trial, clique_budget=config.clique_budget, chi_budget=config.chi_budget)
+    if workers == 1 or len(ns) <= 1:
+        records = tuple(map(trial, ns, seeds))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, rec in pool.map(_trial_task, tasks):
-                results[i] = rec
-    records = tuple(results[i] for i in range(len(tasks)))
+            records = tuple(pool.map(trial, ns, seeds))
 
     os.makedirs(config.out_dir, exist_ok=True)
     records_path = os.path.join(config.out_dir, "records.jsonl")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 from mpmath import mp, mpf
@@ -48,9 +48,34 @@ MAX_BRUTE = 6
 MAX_ISO = 8
 
 
-def _pair_classes(xs: List[int]) -> Dict[Tuple[int, int], int]:
-    """Map each index pair to its sum; relations are equal-sum pairs."""
-    return {(i, j): xs[i] ^ xs[j] for i in range(len(xs)) for j in range(i + 1, len(xs))}
+def _extensions(
+    xs: List[int], img: List[int], candidates: List[int],
+    dom2img: Dict[int, int], img2dom: Dict[int, int],
+) -> Iterator[int]:
+    """Yield each candidate y that xs[t], t = len(img), may map to.
+
+    y is admitted when every new pair sum xs[j] + xs[t] -> img[j] + y keeps
+    the map of pair sums one to one in both directions.  While y is yielded,
+    img ends in y and the new sums are recorded in dom2img and img2dom; both
+    are undone before the next candidate is tried.
+    """
+    t = len(img)
+    for y in candidates:
+        added = []
+        for j in range(t):
+            s, fs = xs[j] ^ xs[t], img[j] ^ y
+            if dom2img.get(s, fs) != fs or img2dom.get(fs, s) != s:
+                break
+            if s not in dom2img:
+                dom2img[s] = fs
+                img2dom[fs] = s
+                added.append(s)
+        else:
+            img.append(y)
+            yield y
+            img.pop()
+        for s in added:
+            del img2dom[dom2img.pop(s)]
 
 
 def is_freiman_isomorphic(X: ElemSet, Y: ElemSet) -> bool:
@@ -61,49 +86,25 @@ def is_freiman_isomorphic(X: ElemSet, Y: ElemSet) -> bool:
     if not 1 <= k <= MAX_ISO:
         raise PreconditionError(f"is_freiman_isomorphic handles 1 <= |X| <= {MAX_ISO}")
     xs, ys = X.elements(), Y.elements()
-
     dom2img: Dict[int, int] = {}
     img2dom: Dict[int, int] = {}
-    used = [False] * k
 
-    def assign(t: int, img: List[int]) -> bool:
-        if t == k:
+    def assign(img: List[int]) -> bool:
+        if len(img) == k:
             return True
-        for c in range(k):
-            if used[c]:
-                continue
-            y = ys[c]
-            added = []
-            ok = True
-            for j in range(t):
-                s, fs = xs[j] ^ xs[t], img[j] ^ y
-                if dom2img.get(s, fs) != fs or img2dom.get(fs, s) != s:
-                    ok = False
-                    break
-                if s not in dom2img:
-                    dom2img[s] = fs
-                    img2dom[fs] = s
-                    added.append((s, fs))
-            if ok:
-                used[c] = True
-                img.append(y)
-                if assign(t + 1, img):
-                    return True
-                img.pop()
-                used[c] = False
-            for s, fs in added:
-                del dom2img[s]
-                del img2dom[fs]
+        unused = [y for y in ys if y not in img]
+        for _ in _extensions(xs, img, unused, dom2img, img2dom):
+            if assign(img):
+                return True
         return False
 
-    return assign(0, [])
+    return assign([])
 
 
 @dataclass(frozen=True)
 class FreimanResult:
     r: int
     witness: ElemSet
-    method: str
 
 
 def freiman_dimension(X: ElemSet) -> FreimanResult:
@@ -111,55 +112,31 @@ def freiman_dimension(X: ElemSet) -> FreimanResult:
 
     Exhaustive over canonical images (first image 0, fresh generators in
     order), maximizing the number of generators; r(X) <= |X| - 1 always.
+    With g generators so far the images span range(2^g), so the candidates
+    are the unused points of that range and the fresh generator 2^g.
     """
     k = X.size
     if not 1 <= k <= MAX_BRUTE:
         raise PreconditionError(f"freiman_dimension handles 1 <= |X| <= {MAX_BRUTE}")
     xs = X.elements()
-    if k == 1:
-        return FreimanResult(r=0, witness=ElemSet.from_elements(0, [0]), method="brute-force")
-
     dom2img: Dict[int, int] = {}
     img2dom: Dict[int, int] = {}
-    best = {"r": -1, "img": []}
+    best_r, best_img = 0, [0]
 
-    def assign(t: int, img: List[int], spanned: List[int], gens: int):
-        if gens + (k - t) <= best["r"]:
+    def assign(img: List[int], gens: int) -> None:
+        nonlocal best_r, best_img
+        if gens + (k - len(img)) <= best_r:
             return  # cannot beat the incumbent
-        if t == k:
-            if gens > best["r"]:
-                best["r"] = gens
-                best["img"] = img.copy()
+        if len(img) == k:
+            best_r, best_img = gens, img.copy()
             return
-        candidates = [v for v in spanned if v not in img]
-        candidates.append(1 << gens)  # one fresh generator, canonically
-        for y in candidates:
-            added = []
-            ok = True
-            for j in range(t):
-                s, fs = xs[j] ^ xs[t], img[j] ^ y
-                if dom2img.get(s, fs) != fs or img2dom.get(fs, s) != s:
-                    ok = False
-                    break
-                if s not in dom2img:
-                    dom2img[s] = fs
-                    img2dom[fs] = s
-                    added.append((s, fs))
-            if ok:
-                img.append(y)
-                if y == 1 << gens:
-                    assign(t + 1, img, spanned + [w ^ y for w in spanned], gens + 1)
-                else:
-                    assign(t + 1, img, spanned, gens)
-                img.pop()
-            for s, fs in added:
-                del dom2img[s]
-                del img2dom[fs]
+        fresh = 1 << gens
+        candidates = [v for v in range(fresh + 1) if v not in img]
+        for y in _extensions(xs, img, candidates, dom2img, img2dom):
+            assign(img, gens + (y == fresh))
 
-    assign(1, [0], [0], 0)
-    r = best["r"]
-    witness = ElemSet.from_elements(r, best["img"]) if r > 0 else ElemSet.from_elements(0, [0])
-    return FreimanResult(r=r, witness=witness, method="brute-force")
+    assign([0], 0)
+    return FreimanResult(r=best_r, witness=ElemSet.from_elements(best_r, best_img))
 
 
 def universal_freiman_rank(X: ElemSet) -> int:
@@ -171,9 +148,10 @@ def universal_freiman_rank(X: ElemSet) -> int:
     if k == 0:
         raise PreconditionError("universal_freiman_rank needs a nonempty set")
     xs = X.elements()
-    by_sum: Dict[int, List[int]] = {}
-    for (i, j), s in _pair_classes(xs).items():
-        by_sum.setdefault(s, []).append((1 << i) | (1 << j))
+    by_sum: Dict[int, List[int]] = {}  # relations are equal-sum pairs
+    for i in range(k):
+        for j in range(i + 1, k):
+            by_sum.setdefault(xs[i] ^ xs[j], []).append((1 << i) | (1 << j))
     relations = []
     for pairs in by_sum.values():
         relations.extend(pairs[0] ^ p for p in pairs[1:])
@@ -225,9 +203,8 @@ def check_even_zohar(X: ElemSet) -> EvenZoharReport:
     to be read as coset containment: span_size is the size of the affine
     hull, the span of X shifted to pass through 0.  (The raw span of
     X + {0} genuinely exceeds the bound for e.g. a standard basis, whose
-    hull is half its span.)  For k <= 128 the (generally irrational)
-    inequality is decided exactly via hull^k (2l)^k <= 4^l k^(2k); beyond
-    that, in log space.
+    hull is half its span.)  The (generally irrational) inequality is
+    decided exactly at every k, in integers: hull^k (2l)^k <= 4^l k^(2k).
     """
     if X.mask == 0:
         raise PreconditionError("check_even_zohar needs a nonempty set")
@@ -235,10 +212,7 @@ def check_even_zohar(X: ElemSet) -> EvenZoharReport:
     l = sumset(X, X).size
     x0 = (X.mask & -X.mask).bit_length() - 1
     span_size = span(X.translate(x0)).size
-    if k <= 128:
-        holds = (span_size * 2 * l) ** k <= (1 << (2 * l)) * k ** (2 * k)
-    else:
-        holds = math.log2(span_size) <= 2 * l / k + math.log2(k) - math.log2(2 * l / k) + 1e-9
+    holds = (span_size * 2 * l) ** k <= (1 << (2 * l)) * k ** (2 * k)
     big_k = l / k
     bound = 4.0**big_k * k / (2 * big_k) if 2 * big_k < 500 else math.inf
     return EvenZoharReport(k=k, big_k=big_k, span_size=span_size, bound=bound, holds=holds)

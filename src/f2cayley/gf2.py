@@ -190,9 +190,6 @@ class Subspace:
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
 
-    def members(self) -> ElemSet:
-        return subspace_members(self)
-
 
 def span(X: ElemSet) -> Subspace:
     """Smallest subspace containing X (the linear span; subgroups of F_2^n)."""

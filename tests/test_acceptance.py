@@ -49,6 +49,7 @@ from f2cayley import (
     verify_clique,
     verify_coloring,
 )
+from oracles import brute_chromatic, brute_max_clique
 
 
 def _all_subsets_f23():
@@ -242,19 +243,6 @@ def test_criterion_10_eqkn_sweep_and_boundary_sequence():
     assert time.perf_counter() - t0 < 30.0
 
 
-def _brute_max_clique(adj, N):
-    best = 1
-    is_clique = [False] * (1 << N)
-    is_clique[0] = True
-    for mask in range(1, 1 << N):
-        v = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        if is_clique[rest] and rest & ~adj[v] == 0:
-            is_clique[mask] = True
-            best = max(best, mask.bit_count())
-    return best
-
-
 def test_criterion_11_clique_oracle_and_subspace_graphs():
     rng = random.Random(111_111)
     for n in (2, 3, 4):
@@ -262,7 +250,7 @@ def test_criterion_11_clique_oracle_and_subspace_graphs():
             G = sample_cayley(n, rng.getrandbits(63))
             out = max_clique(G)
             assert out.optimal
-            assert out.size == _brute_max_clique(G.adjacency_masks(), 1 << n)
+            assert out.size == brute_max_clique(G.adjacency_masks(), 1 << n)
             assert verify_clique(G, out.witness)
     for n in range(2, 7):
         for dim in range(n + 1):
@@ -271,34 +259,13 @@ def test_criterion_11_clique_oracle_and_subspace_graphs():
                 assert max_clique(G).size == 1 << dim
 
 
-def _brute_chromatic(adj, N):
-    colors = [-1] * N
-
-    def go(v, k):
-        if v == N:
-            return True
-        used = max(colors[:v], default=-1)
-        for c in range(min(k, used + 2)):
-            if all(colors[u] != c for u in range(v) if adj[v] >> u & 1):
-                colors[v] = c
-                if go(v + 1, k):
-                    return True
-                colors[v] = -1
-        return False
-
-    k = 1
-    while not go(0, k):
-        k += 1
-    return k
-
-
 def test_criterion_12_chromatic_consistency():
     rng = random.Random(121_212)
     for n in (2, 3, 4):
         for _ in range(10):
             G = sample_cayley(n, rng.getrandbits(63))
             br = chromatic_bracket(G)
-            chi = _brute_chromatic(G.adjacency_masks(), 1 << n)
+            chi = brute_chromatic(G.adjacency_masks(), 1 << n)
             assert br.lower <= chi <= br.upper
             if br.exact is not None:
                 assert br.exact == chi

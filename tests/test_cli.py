@@ -75,6 +75,7 @@ def test_freiman_dim_defaults_ambient(capsys):
     assert code == 0
     d = json.loads(out)
     assert d["r"] == 2 and d["k"] == 4
+    assert sorted(d) == ["k", "n", "r", "witness"]
     code2, out2 = run(capsys, "freiman-dim", "--set", "a", "b", "--n", "4")
     assert code2 == 0
     assert json.loads(out2)["r"] == 1

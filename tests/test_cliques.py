@@ -30,45 +30,7 @@ from f2cayley import (
     xor_shift,
 )
 from f2cayley import cliques
-
-
-def brute_max_clique(adj, N):
-    """Largest clique by subset DP over all 2^N vertex subsets."""
-    best = 1
-    is_clique = [False] * (1 << N)
-    is_clique[0] = True
-    for mask in range(1, 1 << N):
-        v = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        if is_clique[rest] and rest & ~adj[v] == 0:
-            is_clique[mask] = True
-            best = max(best, mask.bit_count())
-    return best
-
-
-def brute_chromatic(adj, N):
-    """Exact chromatic number by color-count backtracking."""
-    colors = [-1] * N
-
-    def feasible(k):
-        def go(v):
-            if v == N:
-                return True
-            used = max(colors[:v], default=-1)
-            for c in range(min(k, used + 2)):
-                if all(colors[u] != c for u in range(v) if adj[v] >> u & 1):
-                    colors[v] = c
-                    if go(v + 1):
-                        return True
-                    colors[v] = -1
-            return False
-
-        return go(0)
-
-    k = 1
-    while not feasible(k):
-        k += 1
-    return k
+from oracles import brute_chromatic, brute_max_clique
 
 
 def test_max_clique_matches_subset_dp():
@@ -444,9 +406,11 @@ def test_greedy_coloring_matches_reference_plain_greedy():
 
 
 def test_greedy_colors_cosets_of_an_independent_subspace():
-    # Why chromatic_bracket needs no greedy coloring: greedy's classes are the
-    # cosets of its color-0 class, an independent subspace, so it never uses
-    # fewer colors than the cosets of the complement's deepest subspace.
+    # Why chromatic_bracket needs no greedy coloring: by the Turning Turtles
+    # theorem greedy's coloring is linear (see greedy_coloring), so its classes
+    # are the cosets of its color-0 class, an independent subspace, and it
+    # never uses fewer colors than the cosets of the complement's deepest
+    # subspace.  Checked here on random graphs.
     for n in range(2, 10):
         N = 1 << n
         for i in range(12 if n < 7 else 3):

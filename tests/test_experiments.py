@@ -204,6 +204,18 @@ def test_trial_record_json_round_trip():
     back = TrialRecord.from_json(rec.to_json())
     assert back == rec
     assert all(isinstance(k, int) for k in back.m_counts)
+    d = json.loads(rec.to_json())
+    assert TrialRecord.from_json(json.dumps(dict(d, unknown=1))) == rec
+    for key in d:
+        with pytest.raises(PreconditionError, match="malformed"):
+            TrialRecord.from_json(json.dumps({k: v for k, v in d.items() if k != key}))
+    fixed = TrialRecord(n=4, seed=1, a_size=7, omega_size=4, omega_optimal=True,
+                        max_subspace_dim=2, m_counts={0: 1, 1: 7, 2: 1}, chi_lower=4,
+                        chi_upper=4, chi_exact=None, predicted_omega=8, elapsed=0.5, nodes=9)
+    assert fixed.to_json() == (
+        '{"a_size":7,"chi_exact":null,"chi_lower":4,"chi_upper":4,"elapsed":0.5,'
+        '"m_counts":{"0":1,"1":7,"2":1},"max_subspace_dim":2,"n":4,"nodes":9,'
+        '"omega_optimal":true,"omega_size":4,"predicted_omega":8,"seed":1}')
 
 
 def test_run_trial_is_deterministic_up_to_timing():

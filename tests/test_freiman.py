@@ -4,9 +4,11 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from f2cayley import (
     BudgetExceededError,
@@ -20,6 +22,7 @@ from f2cayley import (
     freiman_dimension,
     is_freiman_isomorphic,
     span,
+    sumset,
     tail_exponent,
     universal_freiman_rank,
 )
@@ -40,6 +43,7 @@ def test_square_not_isomorphic_to_independent_points():
     # 00+11 = 01+10 has no counterpart among affinely independent points
     Y = ElemSet.from_elements(4, [0, 1, 2, 4])
     assert not is_freiman_isomorphic(SQUARE, Y)
+    assert not is_freiman_isomorphic(Y, SQUARE)  # the clash is among the images
     assert is_freiman_isomorphic(SQUARE, SQUARE.translate(3))
 
 
@@ -59,10 +63,14 @@ def test_freiman_dimension_small_cases():
 def test_freiman_dimension_witness_has_full_hull():
     res = freiman_dimension(ElemSet.from_elements(3, [0, 1, 2, 7]))
     assert res.r == 3  # no additive quadruples among these four points
-    pts = res.witness.elements()
-    hull = span(ElemSet.from_elements(res.witness.n, [p ^ pts[0] for p in pts[1:]]))
-    assert hull.dim == res.r
-    assert is_freiman_isomorphic(ElemSet.from_elements(3, [0, 1, 2, 7]), res.witness)
+    rng = random.Random(4444)
+    sets = [ElemSet(3, mask) for mask in range(1, 256) if ElemSet(3, mask).size <= 6]
+    sets += [ElemSet.from_elements(4, rng.sample(range(16), 6)) for _ in range(40)]
+    for X in sets:
+        res = freiman_dimension(X)
+        assert res.witness.n == res.r and res.witness.elements()[0] == 0
+        assert span(res.witness).dim == res.r  # the hull, as the witness holds 0
+        assert is_freiman_isomorphic(X, res.witness) and is_freiman_isomorphic(res.witness, X)
 
 
 def test_freiman_dimension_invariance_spot_checks():
@@ -100,6 +108,32 @@ def test_even_zohar_examples():
     assert basis.holds and basis.span_size == 8
     tight = check_even_zohar(ElemSet.from_elements(3, [1, 2, 4]))
     assert tight.holds and tight.span_size == 4 and tight.bound < 8
+
+
+def _even_zohar_sides(span_size, k, l):
+    """Both sides of hull^k (2l)^k <= 4^l k^(2k), in mpmath at 50 digits."""
+    with mp.workdps(50):
+        return mpf(span_size * 2 * l) ** k, mpf(4) ** l * mpf(k) ** (2 * k)
+
+
+def test_even_zohar_exact_beyond_k128(monkeypatch):
+    rng = random.Random(129)
+    for k in range(129, 257):
+        X = ElemSet.from_elements(9, rng.sample(range(512), k))
+        rep = check_even_zohar(X)
+        lhs, rhs = _even_zohar_sides(rep.span_size, k, sumset(X, X).size)
+        assert rep.holds == (lhs <= rhs) and rep.holds
+    # hulls around the largest one the inequality admits: the decision flips
+    # exactly there, with no slack even where that hull is about 10^17
+    for k in (129, 200, 256):
+        X = ElemSet.from_elements(12, rng.sample(range(4096), k))
+        l = sumset(X, X).size
+        with mp.workdps(50):
+            edge = int(mp.floor(mpf(4) ** (mpf(l) / k) * mpf(k) ** 2 / (2 * l)))
+        for hull in (edge - 1, edge, edge + 1):
+            monkeypatch.setattr(freiman, "span", lambda _X, hull=hull: SimpleNamespace(size=hull))
+            lhs, rhs = _even_zohar_sides(hull, k, l)
+            assert check_even_zohar(X).holds == (lhs <= rhs) == (hull <= edge)
 
 
 def test_census_frozen_small_cases():
