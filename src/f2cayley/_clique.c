@@ -1,13 +1,22 @@
-/* Maximum clique of the Cayley graph on F_2^n with generator set A, by branch
- * and bound over word bitsets.  This is the search of cliques.max_clique,
- * whose docstring argues its two symmetry rules; that function builds the
- * seed and checks the result, this file does every node of the search.
+/* The two searches of cliques.py over the Cayley graph on F_2^n with
+ * generator set A, built by _native.py as one library with two entry points:
  *
- * Each graph searched, the root's on A and each root branch's on P2, is
- * labelled 0..k-1 in increasing order of its vertices and held as k rows of
- * nw = ceil(k / 64) words (BBMC, San Segundo et al. 2011).  A node colors its
- * candidates greedily, class by class, and lists only the vertices of color
- * at least kmin = best - |R| + 1 (MCQ, Tomita & Kameda 2007).
+ * - f2c_max_clique: the maximum clique, by branch and bound over word
+ *   bitsets.  This is the search of cliques.max_clique, whose docstring
+ *   argues its two symmetry rules.
+ * - f2c_subspaces: the subspaces whose nonzero part lies in A, counted per
+ *   dimension, with the first deepest one met; the search of
+ *   cliques.subspace_cliques, at the end of this file.
+ *
+ * The Python side builds the inputs and checks every result; this file does
+ * every node of both searches.
+ *
+ * In the clique search, each graph searched, the root's on A and each root
+ * branch's on P2, is labelled 0..k-1 in increasing order of its vertices and
+ * held as k rows of nw = ceil(k / 64) words (BBMC, San Segundo et al. 2011).
+ * A node colors its candidates greedily, class by class, and lists only the
+ * vertices of color at least kmin = best - |R| + 1 (MCQ, Tomita & Kameda
+ * 2007).
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -242,4 +251,174 @@ done:
     free(s.items);
     free(s.r);
     return rc == SEARCH_NOMEM ? SEARCH_NOMEM : 0;
+}
+
+/* ---- subspace cliques --------------------------------------------------
+ * The orderly search of cliques.subspace_cliques, whose docstring argues it:
+ * the same nodes in the same order, so the counts and the first deepest
+ * basis are those of a search over Python ints.  A set of 2^n bits is held
+ * as nw = max(1, 2^n / 64) words; for n < 6 only the low 2^n bits of the
+ * one word are used.  Translation by v permutes the words by v >> 6 and
+ * swaps bits inside each word by v & 63. */
+
+typedef struct {
+    int32_t n, nw;
+    word *W, *E;      /* W(H) and elig of the node at each depth, nw words each */
+    word *step;       /* step[p], p < n - 1: the v with bit p zero, top bit above p */
+    int32_t rows[32]; /* basis of the current H, pivots increasing; n <= 30 */
+    int32_t *best;    /* first basis met at the deepest dimension so far */
+    int32_t best_len;
+    int64_t *counts;
+} subspace_search;
+
+/* LOW[s] marks the bit positions whose index bit s is 0. */
+static const word LOW[6] = {
+    0x5555555555555555ULL, 0x3333333333333333ULL, 0x0F0F0F0F0F0F0F0FULL,
+    0x00FF00FF00FF00FFULL, 0x0000FFFF0000FFFFULL, 0x00000000FFFFFFFFULL,
+};
+
+/* Permute the bits of one word by the translation x -> x + t, t < 64. */
+static word shift_in_word(word x, int32_t t)
+{
+    for (int32_t s = 0; s < 6; s++)
+        if (t >> s & 1)
+            x = ((x >> (1 << s)) & LOW[s]) | ((x & LOW[s]) << (1 << s));
+    return x;
+}
+
+/* The first word holding an element >= 2^q. */
+static int32_t word_from(int32_t q)
+{
+    return q < 6 ? 0 : (int32_t)1 << (q - 6);
+}
+
+/* Every descendant of the node with d rows and last pivot pd qualifies (its
+ * W contains its elig, and so does each child's).  Add the extensions by
+ * m >= 1 more rows with pivots q > pd: a row with pivot q and i earlier
+ * pivots has 2^(q - i) choices.  Their first deepest basis adds the rows
+ * 2^(pd+1), ..., 2^(n-1).  With n <= 13 every count stays below 2^43. */
+static void closed_form(subspace_search *s, int32_t d, int32_t pd)
+{
+    int32_t n = s->n, extra = n - 1 - pd;
+    int64_t dp[32] = {1};
+    for (int32_t q = pd + 1; q < n; q++)
+        for (int32_t j = q - pd - 1; j >= 0; j--)
+            dp[j + 1] += dp[j] << (q - d - j);
+    for (int32_t m = 1; m <= extra; m++)
+        s->counts[d + m] += dp[m];
+    if (d + extra > s->best_len) {
+        memcpy(s->best, s->rows, (size_t)d * sizeof(int32_t));
+        for (int32_t m = 0; m < extra; m++)
+            s->best[d + m] = (int32_t)1 << (pd + 1 + m);
+        s->best_len = d + extra;
+    }
+}
+
+/* The node H with rows[0..d) and last pivot pd (-1 at the root).  Its W
+ * and elig are exact on every word where elig is nonzero; other words are
+ * never read.  The children are H + <v> for v in W & elig. */
+static void grow(subspace_search *s, int32_t d, int32_t pd)
+{
+    int32_t n = s->n, nw = s->nw, lo = word_from(pd + 1);
+    const word *W = s->W + (size_t)d * nw, *E = s->E + (size_t)d * nw;
+    word *W2 = s->W + (size_t)(d + 1) * nw, *E2 = s->E + (size_t)(d + 1) * nw;
+    int64_t c = 0;
+    int32_t first = -1;
+    word missing = 0;
+    for (int32_t j = lo; j < nw; j++) {
+        word cand = W[j] & E[j];
+        if (cand) {
+            c += __builtin_popcountll(cand);
+            if (first < 0)
+                first = (j << 6) + __builtin_ctzll(cand);
+        }
+        missing |= E[j] & ~W[j];
+    }
+    if (!c)
+        return;
+    if (!missing) {
+        closed_form(s, d, pd);
+        return;
+    }
+    s->counts[d + 1] += c;
+    if (d + 1 > s->best_len) {
+        memcpy(s->best, s->rows, (size_t)d * sizeof(int32_t));
+        s->best[d] = first;
+        s->best_len = d + 1;
+    }
+    for (int32_t p = 31 - __builtin_clz((uint32_t)first); p < n - 1; p++) {
+        /* the v with pivot p: words [j0, j1), masked by bmask when p < 6 */
+        int32_t j0 = word_from(p), j1 = p < 6 ? 1 : word_from(p + 1);
+        word bmask = p < 6 ? (BIT(1 << p) - 1) << (1 << p) : ~(word)0;
+        word any = 0;
+        for (int32_t j = j0; j < j1; j++)
+            any |= W[j] & E[j] & bmask;
+        if (!any)
+            continue;
+        int32_t lo2 = word_from(p + 1);
+        const word *step = s->step + (size_t)p * nw;
+        any = 0;
+        for (int32_t j = lo2; j < nw; j++) {
+            E2[j] = E[j] & step[j];
+            any |= W[j] & E2[j];
+        }
+        if (!any)  /* W only shrinks, so no child of pivot p can grow */
+            continue;
+        for (int32_t j = j0; j < j1; j++) {
+            word block = W[j] & E[j] & bmask;
+            while (block) {
+                int32_t v = (j << 6) + __builtin_ctzll(block), o = v >> 6, t = v & 63;
+                block &= block - 1;
+                for (int32_t i = lo2; i < nw; i++)
+                    if (E2[i])
+                        W2[i] = W[i] & shift_in_word(W[i ^ o], t);
+                s->rows[d] = v;
+                grow(s, d + 1, p);
+            }
+        }
+    }
+}
+
+/* Count the subspaces of F_2^n whose nonzero part lies in the k sorted
+ * nonzero generators A: counts[m] (m = 0..n) gets the number of dimension
+ * m, and witness[0..max_dim) the first deepest basis met, rows with pivots
+ * increasing, each zero at the earlier pivots.  Returns 0, or 2 when
+ * memory ran out. */
+int f2c_subspaces(int32_t n, const int32_t *A, int32_t k, int64_t *counts, int32_t *witness)
+{
+    int32_t N = (int32_t)1 << n, nw = N < 64 ? 1 : N >> 6;
+    word full = N < 64 ? BIT(N) - 1 : ~(word)0;
+    subspace_search s = {0};
+    s.n = n;
+    s.nw = nw;
+    s.counts = counts;
+    s.best = witness;
+    s.W = calloc((size_t)(n + 1) * nw, sizeof(word));
+    s.E = calloc((size_t)(n + 1) * nw, sizeof(word));
+    s.step = calloc((size_t)(n - 1) * nw, sizeof(word));
+    int rc = SEARCH_DONE;
+    if (!s.W || !s.E || !s.step) {
+        rc = SEARCH_NOMEM;
+        goto done;
+    }
+    for (int32_t p = 0; p < n - 1; p++) {
+        word *step = s.step + (size_t)p * nw;
+        for (int32_t j = word_from(p + 1); j < nw; j++)
+            step[j] = p < 6 ? LOW[p] : (j >> (p - 6) & 1) ? 0 : ~(word)0;
+        if (p < 5)  /* word 0 also holds the v below 2^(p+1) */
+            step[0] &= ~(BIT(2 << p) - 1);
+    }
+    for (int32_t i = 0; i < k; i++)
+        s.W[A[i] >> 6] |= BIT(A[i]);
+    for (int32_t j = 0; j < nw; j++)
+        s.E[j] = full;
+    s.E[0] &= ~(word)1;  /* any nonzero v may be the first row */
+    memset(counts, 0, (size_t)(n + 1) * sizeof(int64_t));
+    counts[0] = 1;
+    grow(&s, 0, -1);
+done:
+    free(s.W);
+    free(s.E);
+    free(s.step);
+    return rc;
 }

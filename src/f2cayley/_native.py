@@ -1,4 +1,6 @@
-"""Build and load the C clique search `_clique.c`.
+"""Build and load the C library `_clique.c` and its two entry points:
+`max_clique` (f2c_max_clique, the branch and bound of cliques.max_clique) and
+`subspaces` (f2c_subspaces, the orderly search of cliques.subspace_cliques).
 
 The library is compiled on first import with the C compiler Python was built
 with (sysconfig's CC) and cached as __pycache__/_clique-<tag>.so, where tag is
@@ -51,10 +53,15 @@ def _build() -> str:
 
 
 LIBRARY = _build()
+_lib = ctypes.CDLL(LIBRARY)
 _i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
-max_clique = ctypes.CDLL(LIBRARY).f2c_max_clique
+_i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+max_clique = _lib.f2c_max_clique
 max_clique.restype = ctypes.c_int
 max_clique.argtypes = [
     ctypes.c_int32, _i32, ctypes.c_int32, ctypes.c_int32, ctypes.c_int32, ctypes.c_int64,
-    _i32, np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS"),
+    _i32, _i64,
 ]
+subspaces = _lib.f2c_subspaces
+subspaces.restype = ctypes.c_int
+subspaces.argtypes = [ctypes.c_int32, _i32, ctypes.c_int32, _i64, _i32]

@@ -18,7 +18,7 @@ import numpy as np
 from . import _native
 from .errors import InvariantError, PreconditionError
 from .cayley import CayleyGraph
-from .gf2 import ElemSet, Subspace, _levels, bits_of, rref, subspace_members, xor_shift
+from .gf2 import ElemSet, Subspace, bits_of, rref, subspace_members
 
 __all__ = [
     "CliqueOutcome",
@@ -65,50 +65,43 @@ class SubspaceCliqueReport:
 def subspace_cliques(G: CayleyGraph) -> SubspaceCliqueReport:
     """Count qualifying subspaces per dimension by orderly depth-first search.
 
-    A subspace H is reached through its reduced row echelon basis with rows
-    added in increasing pivot order, so it is produced exactly once (orderly
-    generation; Read 1978, McKay 1998) and no visited set is kept.  Each node
-    carries W(H) = intersection over h in H of (A + h), the set of v with
-    v + H inside A, and `elig`, the v whose top bit lies above every pivot of
-    H and which are zero at every pivot.  The children of H are then exactly
-    H + <v> for v in W(H) & elig: they are counted by popcount, and the search
-    descends only into those that can have children of their own.  Memory is
-    O(n) masks of 2^n bits.
+    A subspace H is reached through its echelon basis with rows added in
+    increasing pivot order, each row zero at the earlier pivots, so it is
+    produced exactly once (orderly generation; Read 1978, McKay 1998) and no
+    visited set is kept.  Each node carries W(H) = intersection over h in H
+    of (A + h), the set of v with v + H inside A, and `elig`, the v whose top
+    bit lies above every pivot of H and which are zero at every pivot.  The
+    children of H are then exactly H + <v> for v in W(H) & elig: they are
+    counted by popcount, and the search descends only into those that can
+    have children of their own.  Once W(H) contains elig, every descendant
+    qualifies (each child's W again contains its elig), so the subtree is
+    counted in closed form: extending H by rows with pivots q above its last
+    pivot, a row with pivot q and i earlier pivots has 2^(q - i) choices, and
+    the first deepest basis adds the rows 2^q in increasing q.  A complete
+    generator set thus gives the Gaussian binomials at once.
+
+    The search runs in C (`f2c_subspaces` in `_clique.c`, built by
+    `_native`), with W and elig held as 2^n-bit rows of 64-bit words, one
+    pair per depth; translation by v permutes the words and swaps bits
+    inside each.  The result is checked here: M_0 = 1, M_1 = |A|, and the
+    witness spans a subspace of dimension max_dim inside A + {0}.
     """
     n = G.n
-    full = (1 << (1 << n)) - 1
-    # step[p]: the v zero at position p with top bit above p, i.e. the rows
-    # that may follow a row with pivot p; a pivot n - 1 leaves none
-    step = [low & (full >> (2 * s) << (2 * s)) for s, low in _levels(n)[:-1]]
-    below_top = (1 << (1 << (n - 1))) - 1
-    counts = {0: 1}
-    rows: List[int] = []  # basis of the current H, pivots increasing
-    best: List[int] = []  # first basis met at the deepest dimension so far
-
-    def grow(w: int, elig: int) -> None:
-        cand = w & elig
-        if not cand:
-            return
-        d = len(rows) + 1
-        counts[d] = counts.get(d, 0) + cand.bit_count()
-        if d > len(best):
-            best[:] = rows + [(cand & -cand).bit_length() - 1]
-        cand &= below_top
-        while cand:
-            p = ((cand & -cand).bit_length() - 1).bit_length() - 1
-            block = cand & (((1 << (1 << p)) - 1) << (1 << p))  # the v with pivot p
-            cand ^= block
-            sub = elig & step[p]
-            if not w & sub:  # W only shrinks, so no child of pivot p can grow
-                continue
-            for v in bits_of(block):
-                rows.append(v)
-                grow(w & xor_shift(w, v, n), sub)
-                rows.pop()
-
-    grow(G.generators.mask, full - 1)  # any nonzero v may be the first row
+    gens = np.array(G.generators.elements(), dtype=np.int32)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    rows = np.zeros(n, dtype=np.int32)
+    if _native.subspaces(n, gens, len(gens), counts, rows):
+        raise MemoryError("subspace_cliques search ran out of memory")
+    _require(counts[0] == 1 and counts[1] == len(gens),
+             "subspace counts miss the zero subspace or the generators")
+    found = {m: c for m, c in enumerate(counts.tolist()) if c}
+    max_dim = max(found)
+    witness = Subspace(n, rref(rows[:max_dim].tolist()))
+    _require(witness.dim == max_dim
+             and not subspace_members(witness).mask & ~G.generators.mask & ~1,
+             "subspace witness is not a qualifying subspace of dimension max_dim")
     return SubspaceCliqueReport(
-        counts=counts, max_dim=max(counts), complete=True, witness_basis=rref(best)
+        counts=found, max_dim=max_dim, complete=True, witness_basis=witness.basis
     )
 
 

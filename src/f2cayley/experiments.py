@@ -315,12 +315,12 @@ class TrialRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "TrialRecord":
-        d = json.loads(line)
         try:
+            d = json.loads(line)  # a JSONDecodeError is a ValueError
             kw = {f.name: d[f.name] for f in fields(cls)}
             kw["m_counts"] = {int(k): v for k, v in kw["m_counts"].items()}
             rec = cls(**kw)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise PreconditionError(f"malformed trial record: {exc}") from exc
         rec.validate()
         return rec

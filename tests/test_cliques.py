@@ -20,6 +20,7 @@ from f2cayley import (
     greedy_coloring,
     independence_number,
     max_clique,
+    rref,
     sample_cayley,
     subspace_cliques,
     subspace_members,
@@ -30,6 +31,7 @@ from f2cayley import (
     xor_shift,
 )
 from f2cayley import cliques
+from f2cayley.gf2 import _levels
 from oracles import brute_chromatic, brute_max_clique
 
 
@@ -97,12 +99,107 @@ def test_subspace_cliques_match_exhaustive_oracle():
 
 
 def test_subspace_cliques_full_generator_set_reaches_every_subspace():
-    n = 7
-    G = CayleyGraph(n, ElemSet(n, (1 << (1 << n)) - 2))
-    rep = subspace_cliques(G)
-    assert rep.counts == {m: gaussian_binomial(n, m) for m in range(n + 1)}
-    assert sum(rep.counts.values()) == 29_212
-    assert rep.max_dim == n and len(rep.witness_basis) == n
+    # every subspace qualifies, so the root's subtree is counted in closed form
+    for n in range(2, 14):
+        G = CayleyGraph(n, ElemSet(n, (1 << (1 << n)) - 2))
+        rep = subspace_cliques(G)
+        assert rep.counts == {m: gaussian_binomial(n, m) for m in range(n + 1)}
+        assert rep.max_dim == n and rep.witness_basis == tuple(1 << i for i in reversed(range(n)))
+        if n == 7:
+            assert sum(rep.counts.values()) == 29_212
+
+
+def reference_subspace_cliques(G):
+    """The orderly search of subspace_cliques over Python ints, node for node:
+    the reference that the C search must equal, counts and witness."""
+    n = G.n
+    full = (1 << (1 << n)) - 1
+    # step[p]: the v zero at position p with top bit above p, i.e. the rows
+    # that may follow a row with pivot p; a pivot n - 1 leaves none
+    step = [low & (full >> (2 * s) << (2 * s)) for s, low in _levels(n)[:-1]]
+    below_top = (1 << (1 << (n - 1))) - 1
+    counts = {0: 1}
+    rows = []  # basis of the current H, pivots increasing
+    best = []  # first basis met at the deepest dimension so far
+
+    def grow(w, elig):
+        cand = w & elig
+        if not cand:
+            return
+        d = len(rows) + 1
+        counts[d] = counts.get(d, 0) + cand.bit_count()
+        if d > len(best):
+            best[:] = rows + [(cand & -cand).bit_length() - 1]
+        cand &= below_top
+        while cand:
+            p = ((cand & -cand).bit_length() - 1).bit_length() - 1
+            block = cand & (((1 << (1 << p)) - 1) << (1 << p))  # the v with pivot p
+            cand ^= block
+            sub = elig & step[p]
+            if not w & sub:  # W only shrinks, so no child of pivot p can grow
+                continue
+            for v in bits_of(block):
+                rows.append(v)
+                grow(w & xor_shift(w, v, n), sub)
+                rows.pop()
+
+    grow(G.generators.mask, full - 1)  # any nonzero v may be the first row
+    return counts, rref(best)
+
+
+def test_subspace_cliques_match_python_reference():
+    for n in range(2, 12):
+        for i in range(12 if n < 9 else 2):
+            G = sample_cayley(n, derive_seed(120, 100 * n + i))
+            for H in (G, G.complement()):
+                rep = subspace_cliques(H)
+                assert (rep.counts, rep.witness_basis) == reference_subspace_cliques(H)
+                assert rep.max_dim == max(rep.counts) == len(rep.witness_basis)
+
+
+def test_subspace_cliques_match_python_reference_on_dense_sets():
+    # the complete set minus r elements: the closed form fires on some
+    # subtrees of these, and must give what full enumeration gives
+    rng = random.Random(121)
+    for n in range(2, 10):
+        N = 1 << n
+        for r in range(0, N // 4 + 1, 1 if n < 7 else N // 16):
+            mask = (1 << N) - 2
+            for x in rng.sample(range(1, N), r):
+                mask &= ~(1 << x)
+            H = CayleyGraph(n, ElemSet(n, mask))
+            rep = subspace_cliques(H)
+            assert (rep.counts, rep.witness_basis) == reference_subspace_cliques(H)
+
+
+def test_subspace_cliques_count_nearly_complete_sets_by_formula():
+    # A = F_2^n minus 0 and a few elements D of F_2^t.  An m-dimensional H
+    # qualifies iff K = H meet F_2^t avoids D, and for each K of dimension j
+    # there are 2^((m - j)(t - j)) [n - t choose m - j]_2 such H: the
+    # complements of F_2^t / K in F_2^n / K.  The closed form counts almost
+    # every subtree here, at n up to 13.
+    rng = random.Random(122)
+    t = 5
+    for n in range(10, 14):
+        for _ in range(2):
+            mask = (1 << (1 << n)) - 2
+            for x in rng.sample(range(1, 1 << t), rng.randint(1, 4)):
+                mask &= ~(1 << x)
+            expect = {}
+            for j in range(t + 1):
+                for K in enumerate_subspaces(t, j):
+                    if inside_generators(K.basis, mask):
+                        for m in range(j, j + n - t + 1):
+                            expect[m] = (expect.get(m, 0)
+                                         + 2 ** ((m - j) * (t - j)) * gaussian_binomial(n - t, m - j))
+            rep = subspace_cliques(CayleyGraph(n, ElemSet(n, mask)))
+            assert rep.counts == expect and rep.max_dim == max(expect)
+
+
+def test_subspace_cliques_pins_counts_at_n12():
+    rep = subspace_cliques(sample_cayley(12, derive_seed(1, 0)))
+    assert rep.counts == {0: 1, 1: 2097, 2: 374933, 3: 3751185, 4: 591373, 5: 90}
+    assert rep.max_dim == 5 == len(rep.witness_basis)
 
 
 def test_subspace_cliques_exact_at_n11():
@@ -342,13 +439,9 @@ def test_max_clique_on_empty_and_complete_generator_sets():
         assert (empty.size, empty.witness.mask, empty.optimal, empty.nodes) == (1, 1, True, 0)
         assert empty.method == "exact"
         G = CayleyGraph(n, ElemSet(n, (1 << N) - 2))
-        # the seed is the whole space; its report is given, as enumerating
-        # every subspace of F_2^13 would never end
-        whole = SubspaceCliqueReport(counts={n: 1}, max_dim=n, complete=True,
-                                     witness_basis=tuple(1 << i for i in reversed(range(n))))
-        full = max_clique(G, subspace_report=whole)
+        full = max_clique(G)  # the seed is the whole space, counted in closed form
         assert (full.size, full.witness.mask, full.optimal, full.nodes) == (N, (1 << N) - 1, True, 0)
-        assert max_clique(G, budget=0, subspace_report=whole).optimal
+        assert max_clique(G, budget=0).optimal
         if n <= 9:  # from {0}: one descent N - 1 levels deep, then every branch prunes
             bare = max_clique(G, subspace_report=NO_SEED)
             assert (bare.size, bare.witness.mask, bare.optimal) == (N, (1 << N) - 1, True)
@@ -466,6 +559,31 @@ def test_invariant_checks_raise_on_broken_results(monkeypatch):
         m.setattr(cliques._native, "max_clique", lambda *args: 2)
         with pytest.raises(MemoryError):
             max_clique(G)
+    # a subspace kernel with a wrong M_1, then a witness outside A
+    rep = subspace_cliques(G)
+    basis = list(rep.witness_basis[::-1])
+    outside = next(x for x in range(1, 32) if x not in G.generators
+                   and len(rref(basis[1:] + [x])) == len(basis))
+
+    def broken_subspaces(n, gens, k, counts, rows):
+        counts[:] = 0
+        for m, c in rep.counts.items():
+            counts[m] = c
+        counts[1] += wrong_m1
+        rows[:len(basis)] = basis
+        return 0
+
+    with monkeypatch.context() as m:
+        m.setattr(cliques._native, "subspaces", broken_subspaces)
+        wrong_m1 = 1
+        with pytest.raises(InvariantError, match="generators"):
+            subspace_cliques(G)
+        wrong_m1, basis[0] = 0, outside
+        with pytest.raises(InvariantError, match="qualifying subspace"):
+            subspace_cliques(G)
+        m.setattr(cliques._native, "subspaces", lambda *args: 2)
+        with pytest.raises(MemoryError):
+            subspace_cliques(G)
     # a complement that is not one: its cliques are not independent in G
     G = sample_cayley(5, 8)
     G.complement = lambda: G

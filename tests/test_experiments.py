@@ -218,6 +218,18 @@ def test_trial_record_json_round_trip():
         '"omega_optimal":true,"omega_size":4,"predicted_omega":8,"seed":1}')
 
 
+def test_malformed_record_lines_raise_precondition_error(tmp_path):
+    # a line that is not JSON, and a record whose m_counts is not an object
+    d = json.loads(run_trial(4, 99).to_json())
+    for line in ('{"n": 4, "m_counts": 5', json.dumps(dict(d, m_counts=5))):
+        with pytest.raises(PreconditionError, match="malformed"):
+            TrialRecord.from_json(line)
+        path = tmp_path / "records.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(PreconditionError, match="malformed"):
+            load_records(str(path))
+
+
 def test_run_trial_is_deterministic_up_to_timing():
     a, b = run_trial(5, 31415), run_trial(5, 31415)
     da, db = json.loads(a.to_json()), json.loads(b.to_json())
