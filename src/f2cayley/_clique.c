@@ -45,7 +45,6 @@ typedef struct {
     int32_t *witness;   /* last improving clique, elements */
     int32_t best;
     int64_t nodes, budget;
-    int has_budget;
 } search;
 
 #define BIT(v) ((word)1 << ((v) & 63))
@@ -134,7 +133,7 @@ static int expand(search *s, int32_t r_size, size_t depth, int pairing)
         int32_t v = it.v;
         if (!(P[v >> 6] & BIT(v)))
             continue;
-        if (s->has_budget && s->nodes >= s->budget) {
+        if (s->nodes >= s->budget) {
             rc = SEARCH_STOPPED;
             break;
         }
@@ -163,19 +162,18 @@ static int expand(search *s, int32_t r_size, size_t depth, int pairing)
 }
 
 /* Search the graph on F_2^n with the k sorted nonzero generators A, from an
- * incumbent of seed_size vertices.  With has_budget, stop before node
- * budget + 1.  Writes the best size, the node count and 1 if the budget
- * stopped the search to out[0..3), and the elements of the last improving
- * clique to witness (N entries) when the best size exceeds seed_size.
- * Returns 0, or 2 when memory ran out. */
+ * incumbent of seed_size vertices.  Stop before node budget + 1; no search
+ * reaches INT64_MAX nodes, so that budget means none.  Writes the best size,
+ * the node count and 1 if the budget stopped the search to out[0..3), and
+ * the elements of the last improving clique to witness (N entries) when the
+ * best size exceeds seed_size.  Returns 0, or 2 when memory ran out. */
 int f2c_max_clique(int32_t n, const int32_t *A, int32_t k, int32_t seed_size,
-                   int32_t has_budget, int64_t budget, int32_t *witness, int64_t *out)
+                   int64_t budget, int32_t *witness, int64_t *out)
 {
     int32_t N = (int32_t)1 << n, nw0 = (k + 63) >> 6;
     search s = {0};
     s.best = seed_size;
     s.budget = budget;
-    s.has_budget = has_budget;
     s.witness = witness;
     s.dbits = calloc((size_t)N, 1);
     s.idx = malloc((size_t)N * sizeof(int32_t));
@@ -208,7 +206,7 @@ int f2c_max_clique(int32_t n, const int32_t *A, int32_t k, int32_t seed_size,
         if (1 + it.color <= s.best)
             break;
         int32_t v = A[it.v];
-        if (s.has_budget && s.nodes >= s.budget) {
+        if (s.nodes >= s.budget) {
             rc = SEARCH_STOPPED;
             break;
         }

@@ -59,8 +59,7 @@ _i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 max_clique = _lib.f2c_max_clique
 max_clique.restype = ctypes.c_int
 max_clique.argtypes = [
-    ctypes.c_int32, _i32, ctypes.c_int32, ctypes.c_int32, ctypes.c_int32, ctypes.c_int64,
-    _i32, _i64,
+    ctypes.c_int32, _i32, ctypes.c_int32, ctypes.c_int32, ctypes.c_int64, _i32, _i64,
 ]
 subspaces = _lib.f2c_subspaces
 subspaces.restype = ctypes.c_int

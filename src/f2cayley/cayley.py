@@ -10,7 +10,7 @@ vertex-transitive and |A|-regular.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -55,11 +55,6 @@ class CayleyGraph:
 
     def has_edge(self, x: int, y: int) -> bool:
         return x != y and ((self.generators.mask >> (x ^ y)) & 1) == 1
-
-    def adjacency_masks(self) -> List[int]:
-        """Per-vertex neighbor bitmasks (2^n masks of 2^n bits), built on each call."""
-        a, n = self.generators.mask, self.n
-        return [xor_shift(a, v, n) for v in range(1 << n)]
 
     def complement(self) -> "CayleyGraph":
         full = ((1 << (1 << self.n)) - 1) & ~1

@@ -71,8 +71,7 @@ def cmd_omega(args) -> Dict:
     G = _load_graph(args)
     out = max_clique(G, budget=args.budget)
     return {
-        "n": G.n, "size": out.size, "optimal": out.optimal,
-        "method": out.method, "nodes": out.nodes,
+        "n": G.n, "size": out.size, "optimal": out.optimal, "nodes": out.nodes,
         "witness": _hexlist(out.witness.elements()),
     }
 

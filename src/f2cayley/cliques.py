@@ -42,7 +42,6 @@ class CliqueOutcome:
     size: int
     witness: ElemSet
     optimal: bool
-    method: str  # exact | subspace-seeded | budget-exhausted
     nodes: int
 
 
@@ -135,34 +134,13 @@ def _require(ok: bool, what: str) -> None:
         raise InvariantError(what)
 
 
-class _Budget(Exception):
-    pass
-
-
 def _require_budget(budget: Optional[int]) -> None:
     if budget is not None and (isinstance(budget, bool) or not isinstance(budget, Integral)
                                or budget < 0):
         raise PreconditionError(f"search budget must be an integer >= 0, got {budget!r}")
 
 
-_NODES_MAX = (1 << 63) - 1
-
-
-def _search(n: int, gens: np.ndarray, seed_size: int,
-            budget: Optional[int]) -> Tuple[int, List[int], int, bool]:
-    """Run the C search (`_clique.c`) on the sorted generators `gens`.
-
-    Returns (best size, elements of the last improving clique, nodes, whether
-    the budget stopped it); the elements are empty when the seed was never
-    beaten."""
-    witness = np.zeros(1 << n, dtype=np.int32)
-    out = np.zeros(3, dtype=np.int64)
-    limit = min(int(budget or 0), _NODES_MAX)  # no search reaches 2^63 - 1 nodes
-    if _native.max_clique(n, gens, len(gens), seed_size, budget is not None, limit,
-                          witness, out):
-        raise MemoryError("max_clique search ran out of memory")
-    size, nodes, stopped = out.tolist()
-    return size, witness[:size].tolist() if size > seed_size else [], nodes, bool(stopped)
+_NODES_MAX = (1 << 63) - 1  # no search reaches it: the budget of an unbudgeted search
 
 
 def max_clique(
@@ -216,22 +194,21 @@ def max_clique(
     n = G.n
     rep = subspace_report if subspace_report is not None else subspace_cliques(G)
     seed_mask = subspace_members(Subspace(n, rep.witness_basis)).mask
+    seed_size = seed_mask.bit_count()
     gens = np.array(G.generators.elements(), dtype=np.int32)
-    best_size, elems, nodes, stopped = _search(n, gens, seed_mask.bit_count(), budget)
-    best_mask = sum(1 << x for x in elems) if elems else seed_mask
-
-    witness = ElemSet(n, best_mask)
-    _require(witness.size == best_size and verify_clique(G, witness),
-             "max_clique witness is not a clique of the reported size")
-    if not stopped:
-        method = "exact"
-    elif best_mask == seed_mask:
-        method = "subspace-seeded"
+    elems = np.zeros(1 << n, dtype=np.int32)
+    out = np.zeros(3, dtype=np.int64)
+    limit = _NODES_MAX if budget is None else min(int(budget), _NODES_MAX)
+    if _native.max_clique(n, gens, len(gens), seed_size, limit, elems, out):
+        raise MemoryError("max_clique search ran out of memory")
+    size, nodes, stopped = out.tolist()
+    if size > seed_size:  # the kernel writes a clique only when it beats the seed
+        witness = ElemSet.from_elements(n, elems[:size].tolist())
     else:
-        method = "budget-exhausted"
-    return CliqueOutcome(
-        size=best_size, witness=witness, optimal=not stopped, method=method, nodes=nodes,
-    )
+        witness = ElemSet(n, seed_mask)
+    _require(witness.size == size and verify_clique(G, witness),
+             "max_clique witness is not a clique of the reported size")
+    return CliqueOutcome(size=size, witness=witness, optimal=not stopped, nodes=nodes)
 
 
 def independence_number(G: CayleyGraph, budget: Optional[int] = None) -> CliqueOutcome:
@@ -318,56 +295,58 @@ def greedy_coloring(G: CayleyGraph) -> Coloring:
 class ChromaticBracket:
     lower: int
     upper: int
-    exact: Optional[int]
     nodes: int
 
+    @property
+    def exact(self) -> Optional[int]:
+        return self.lower if self.lower == self.upper else None
 
-class _Done(Exception):
-    pass
 
-
-def _exact_chromatic(adj: List[int], N: int, lower: int, upper: int, budget: Optional[int]):
-    """DSATUR branch and bound; returns (chi or None, nodes used)."""
+def _exact_chromatic(gens: List[int], N: int, lower: int, upper: int,
+                     budget: Optional[int]) -> Tuple[Optional[int], int]:
+    """DSATUR branch and bound over the neighbors v + a, a in the generator
+    list `gens`; returns (chi, or None when the budget stopped it, nodes used)."""
     best = upper
     colors = [-1] * N
-    state = {"nodes": 0}
+    nodes = 0
 
-    def rec(colored: int, num_used: int) -> None:
-        nonlocal best
+    def rec(colored: int, num_used: int) -> bool:
+        """Search below this node; True when the whole search must stop, at a
+        coloring with `lower` colors or at the budget."""
+        nonlocal best, nodes
         if num_used >= best:
-            return
+            return False
         if colored == N:
             best = num_used
-            if best == lower:
-                raise _Done
-            return
-        if budget is not None and state["nodes"] >= budget:
-            raise _Budget
-        state["nodes"] += 1
+            return best == lower
+        if budget is not None and nodes >= budget:
+            return True
+        nodes += 1
         # most saturated uncolored vertex, then lowest index
         bv, bused, bsat = -1, 0, (-1, 0)
         for v in range(N):
             if colors[v] == -1:
                 used = 0
-                for u in bits_of(adj[v]):
-                    if colors[u] >= 0:
-                        used |= 1 << colors[u]
+                for a in gens:
+                    c = colors[v ^ a]
+                    if c >= 0:
+                        used |= 1 << c
                 key = (used.bit_count(), -v)
                 if key > bsat:
                     bsat, bv, bused = key, v, used
         for c in range(min(num_used + 1, best - 1)):
             if not (bused >> c) & 1:
                 colors[bv] = c
-                rec(colored + 1, max(num_used, c + 1))
+                stop = rec(colored + 1, max(num_used, c + 1))
                 colors[bv] = -1
+                if stop:
+                    return True
+        return False
 
-    try:
-        rec(0, 0)
-    except _Done:
-        pass
-    except _Budget:
-        return None, state["nodes"]
-    return best, state["nodes"]
+    # a stop above lower is the budget's: reaching lower stops the search at once
+    if rec(0, 0) and best > lower:
+        return None, nodes
+    return best, nodes
 
 
 def chromatic_bracket(
@@ -381,10 +360,13 @@ def chromatic_bracket(
     lower = max(clique size found, ceil(N / alpha upper bound)); the alpha
     upper bound comes from the exact independence number when its search
     completes, else from a coset clique cover (N / 2^d cliques for a
-    qualifying d-dimensional subspace).  upper = N / 2^d', the colors of the
-    coset coloring over the deepest independent subspace (dimension d') that
-    `subspace_cliques` finds in the complement; d' = 0 gives N singleton
-    cosets, still a proper coloring.
+    qualifying d-dimensional subspace).  upper = N / 2^d' for the deepest
+    subspace V (dimension d') that `subspace_cliques` finds in the
+    complement.  No nonzero member of V is a generator, which is checked
+    here, so no edge x ~ x + a joins two members of one coset of V: the
+    cosets are N / 2^d' proper color classes, the coloring `coset_coloring`
+    builds.  d' = 0 gives N singletons.  The bracket is exact when
+    lower == upper.
     Callers that already hold the subspace report or the clique outcome for G
     can pass them in to skip recomputation.
     """
@@ -402,16 +384,15 @@ def chromatic_bracket(
         alpha_ub = min(alpha_ub, alpha.size)
     lower = max(omega.size, -(-N // alpha_ub))
 
-    upper = coset_coloring(G, Subspace(n, comp_rep.witness_basis)).num_colors
+    V = Subspace(n, comp_rep.witness_basis)
+    _require(not subspace_members(V).mask & ~1 & G.generators.mask,
+             "complement witness subspace holds a generator")
+    upper = N >> V.dim
     _require(lower <= upper, "chromatic bracket is inverted")
 
-    exact = None
-    if lower == upper:
-        exact = lower
-    elif n <= 5:
-        adj = G.adjacency_masks()
-        exact, used = _exact_chromatic(adj, N, lower, upper, budget)
+    if lower < upper and n <= 5:
+        exact, used = _exact_chromatic(G.generators.elements(), N, lower, upper, budget)
         nodes += used
         if exact is not None:
             lower = upper = exact
-    return ChromaticBracket(lower=lower, upper=upper, exact=exact, nodes=nodes)
+    return ChromaticBracket(lower=lower, upper=upper, nodes=nodes)

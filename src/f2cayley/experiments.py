@@ -421,13 +421,13 @@ def _hist(values: Sequence[int]) -> str:
 
 
 def summarize(ns: Sequence[int], records: Sequence[TrialRecord]) -> List[str]:
-    """One CSV row per n: prediction match rate, mean chi bracket, histograms."""
+    """One CSV row per distinct n, in order of first appearance: prediction
+    match rate, mean chi bracket, histograms."""
     by_n: Dict[int, List[TrialRecord]] = {n: [] for n in ns}
     for r in records:
         by_n[r.n].append(r)
     rows = []
-    for n in ns:
-        recs = by_n[n]
+    for n, recs in by_n.items():
         if not recs:
             rows.append(f"{n},0,{classify_n(n).predicted_omega},"
                         f"{0.0:.6f},{0.0:.6f},{0.0:.6f},,")

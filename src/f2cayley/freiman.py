@@ -24,7 +24,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .errors import BudgetExceededError, InvariantError, PreconditionError
-from .gf2 import ElemSet, bits_of, cosets, enumerate_subspaces, rref, span, xor_shift
+from .gf2 import ElemSet, cosets, enumerate_subspaces, rref, span
 from .sumsets import sumset
 
 __all__ = [
@@ -169,13 +169,6 @@ class DimBoundReport:
     holds: bool
 
 
-def _pow_le(base_exp2: int, k: int, rhs_pow: int, rhs_shift: int) -> bool:
-    # decide 2^base_exp2 <= rhs_pow^k * 2^rhs_shift exactly
-    if base_exp2 <= rhs_shift:
-        return True
-    return 1 << (base_exp2 - rhs_shift) <= rhs_pow**k
-
-
 def check_dim_bound(X: ElemSet) -> DimBoundReport:
     """r(X) <= log2 k + 2l/k with k = |X| and l = |X + X|.
 
@@ -183,7 +176,7 @@ def check_dim_bound(X: ElemSet) -> DimBoundReport:
     """
     res = freiman_dimension(X)
     k, l = X.size, sumset(X, X).size
-    holds = _pow_le(res.r * k, k, k, 2 * l)
+    holds = (1 << res.r * k) <= k**k << 2 * l
     return DimBoundReport(r=res.r, k=k, l=l, bound=math.log2(k) + 2 * l / k, holds=holds)
 
 
@@ -273,6 +266,8 @@ def census_skl(n: int, k: int, budget: int = 10**8) -> SklCensus:
     |X plus-distinct X| = N - 1.
     Refuses if C(2^n, k) exceeds the budget.
     """
+    if n < 0:
+        raise PreconditionError(f"census_skl needs n >= 0, got {n}")
     N = 1 << n
     if not 1 <= k <= N:
         raise PreconditionError(f"census_skl needs 1 <= k <= 2^{n}")
@@ -399,9 +394,9 @@ def family_cover_probe(n: int, k: int, eps: float, d: int, budget: int = 10**8) 
     such witness are reported; the probe asserts nothing (small n is far from
     the asymptotic regime).
     """
+    if not 0 <= n <= 4:
+        raise PreconditionError("family_cover_probe is exhaustive; 0 <= n <= 4 only")
     N = 1 << n
-    if n > 4:
-        raise PreconditionError("family_cover_probe is exhaustive; n <= 4 only")
     if not 2 <= k <= N:
         raise PreconditionError(f"family_cover_probe needs 2 <= k <= 2^{n}")
     if not 0 < eps < 1:
@@ -427,10 +422,8 @@ def family_cover_probe(n: int, k: int, eps: float, d: int, budget: int = 10**8) 
     checked = 0
     for subset in _k_subsets_mask(N, k):
         checked += 1
-        s_mask = 0
-        elems = list(bits_of(subset))
-        for e in elems:
-            s_mask |= xor_shift(subset, e, n)
+        X = ElemSet(n, subset)
+        s_mask = sumset(X, X).mask
         ok = False
         for coset_masks, vsize, allow in spaces:
             covered = 0

@@ -86,6 +86,8 @@ class ElemSet:
 
     @classmethod
     def from_elements(cls, n: int, elems: Iterable[int]) -> "ElemSet":
+        if not 0 <= n <= MAX_SET_DIM:  # before 1 << n below
+            raise PreconditionError(f"ambient dimension {n} outside 0..{MAX_SET_DIM}")
         mask = 0
         for v in elems:
             if not 0 <= v < (1 << n):

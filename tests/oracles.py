@@ -1,4 +1,10 @@
 """Exhaustive oracles shared by the clique and acceptance tests."""
+from f2cayley import xor_shift
+
+
+def adjacency_masks(G):
+    """Per-vertex neighbor bitmasks of a Cayley graph: 2^n masks of 2^n bits."""
+    return [xor_shift(G.generators.mask, v, G.n) for v in range(1 << G.n)]
 
 
 def brute_max_clique(adj, N):

@@ -123,6 +123,13 @@ def test_precondition_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_negative_n_exit_code(capsys):
+    assert main(["skl", "--n", "-1", "--k", "1"]) == 2
+    assert main(["freiman-dim", "--set", "1", "2", "--n", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("error:") == 2
+
+
 def test_negative_budget_exit_code(capsys):
     assert main(["omega", "--n", "6", "--seed", "3", "--budget", "-5"]) == 2
     assert main(["chi", "--n", "5", "--seed", "3", "--budget", "-1"]) == 2

@@ -14,6 +14,7 @@ from f2cayley import (
     TrialRecord,
     classify_n,
     density_measure,
+    derive_seed,
     load_records,
     run_experiment,
     run_trial,
@@ -248,6 +249,19 @@ def test_experiment_round_trip(tmp_path):
     lines = open(res.summary_path).read().splitlines()
     assert lines[0] == summary_header()
     assert len(lines) == 3 and lines[1].startswith("4,4,")
+
+
+def test_repeated_ns_summarize_each_n_once(tmp_path):
+    cfg = ExperimentConfig.from_dict(dict(
+        ns=[3, 3], trials=2, base_seed=7, out_dir=str(tmp_path / "out")))
+    res = run_experiment(cfg)
+    assert [(r.n, r.seed) for r in load_records(res.records_path)] == [
+        (3, derive_seed(7, i)) for i in range(4)]
+    lines = open(res.summary_path).read().splitlines()
+    assert lines[1:] == summarize([3], res.records)
+    assert len(lines) == 2 and lines[1].startswith("3,4,")
+    assert summarize([4, 3, 4], res.records) == [
+        summarize([4], ())[0], lines[1]]
 
 
 def test_experiment_empty_ns(tmp_path):

@@ -315,3 +315,10 @@ def test_cover_probe_preconditions():
         family_cover_probe(5, 4, 0.5, 1)
     with pytest.raises(PreconditionError):
         family_cover_probe(4, 1, 0.5, 1)
+    with pytest.raises(PreconditionError, match="n <= 4"):
+        family_cover_probe(-1, 2, 0.5, 0)
+
+
+def test_census_refuses_negative_n():
+    with pytest.raises(PreconditionError, match="n >= 0"):
+        census_skl(-1, 1)

@@ -58,6 +58,8 @@ def test_elemset_rejects_out_of_range():
         ElemSet.from_elements(2, [4])
     with pytest.raises(PreconditionError):
         ElemSet(2, 1 << 4)
+    with pytest.raises(PreconditionError, match="ambient dimension -3"):
+        ElemSet.from_elements(-3, [1])  # refused before 1 << n is formed
 
 
 @given(st.lists(st.integers(min_value=0, max_value=255), max_size=8),

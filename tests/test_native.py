@@ -1,5 +1,6 @@
 """The C search kernel's build cache: one library per source, safe under
-concurrent first imports, and a failed compile fails the import."""
+concurrent first imports, and a failed compile fails the import; and the
+source compiles without warnings."""
 import os
 import shutil
 import subprocess
@@ -47,3 +48,10 @@ def test_failed_compile_fails_the_import(tmp_path):
     assert proc.returncode != 0
     assert "ImportError: cannot compile" in err and "error" in err.split("cannot compile", 1)[1]
     assert not [f for f in os.listdir(pkg / "__pycache__") if f.startswith("_clique")]
+
+
+def test_source_compiles_without_warnings(tmp_path):
+    command = _native.COMMAND + ("-Wall", "-Wextra", "-Werror")
+    proc = subprocess.run(list(command) + ["-o", str(tmp_path / "lib.so"), _native.SOURCE],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
