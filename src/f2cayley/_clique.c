@@ -14,9 +14,12 @@
  * In the clique search, each graph searched, the root's on A and each root
  * branch's on P2, is labelled 0..k-1 in increasing order of its vertices and
  * held as k rows of nw = ceil(k / 64) words (BBMC, San Segundo et al. 2011).
- * A node colors its candidates greedily, class by class, and lists only the
- * vertices of color at least kmin = best - |R| + 1 (MCQ, Tomita & Kameda
- * 2007).
+ * A row is gathered a word at a time with no branch: the bit of w in row u
+ * is the 0/1 byte dbits[lab[u] ^ lab[w]] of D's indicator, shifted into
+ * place.  P2 itself is compacted the same way, its length advanced by a
+ * product of two such bytes.  A node colors its candidates greedily, class
+ * by class, and lists only the vertices of color at least
+ * kmin = best - |R| + 1 (MCQ, Tomita & Kameda 2007).
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -49,19 +52,23 @@ typedef struct {
 
 #define BIT(v) ((word)1 << ((v) & 63))
 
-/* adj[u] has w iff lab[u] + lab[w] lies in D; D never holds 0. */
+/* adj[u] has w iff lab[u] + lab[w] lies in D, written a whole row at a
+ * time; the diagonal is clear since D never holds 0. */
 static void local_graph(search *s, const int32_t *lab, int32_t k)
 {
+    const uint8_t *d = s->dbits;
     int32_t nw = (k + 63) >> 6;
     s->nw = nw;
-    memset(s->adj, 0, (size_t)k * nw * sizeof(word));
     for (int32_t u = 0; u < k; u++) {
         word *row = s->adj + (size_t)u * nw;
-        for (int32_t w = u + 1; w < k; w++)
-            if (s->dbits[lab[u] ^ lab[w]]) {
-                row[w >> 6] |= BIT(w);
-                s->adj[(size_t)w * nw + (u >> 6)] |= BIT(u);
-            }
+        int32_t x = lab[u];
+        for (int32_t lo = 0; lo < k; lo += 64) {
+            int32_t hi = lo + 64 < k ? lo + 64 : k;
+            word acc = 0;
+            for (int32_t w = lo; w < hi; w++)
+                acc |= (word)d[x ^ lab[w]] << (w - lo);
+            row[lo >> 6] = acc;
+        }
     }
 }
 
@@ -212,9 +219,10 @@ int f2c_max_clique(int32_t n, const int32_t *A, int32_t k, int32_t seed_size,
         }
         s.nodes++;
         int32_t k2 = 0;
-        for (int32_t j = 0; j < k; j++)  /* P2 of the difference rule */
-            if (s.dbits[A[j]] && s.dbits[A[j] ^ v])
-                lab[k2++] = A[j];
+        for (int32_t j = 0; j < k; j++) {  /* P2 of the difference rule */
+            lab[k2] = A[j];
+            k2 += s.dbits[A[j]] & s.dbits[A[j] ^ v];
+        }
         if (k2) {
             local_graph(&s, lab, k2);
             for (int32_t j = 0; j < k2; j++)

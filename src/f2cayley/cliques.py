@@ -178,13 +178,16 @@ def max_clique(
     graph searched, the root's on A and each root branch's on P2, is
     relabelled to local indices 0..k-1 in increasing order of its vertices
     and held as rows of 64-bit words (BBMC, San Segundo et al. 2011); the
-    partner w + v of the pairing rule becomes a local index.  The order is
-    kept, so every coloring, branch and node is the one a search over the
-    global labels makes.  A node with clique R colors its candidates
-    greedily, class by class, and lists only the vertices of color at least
-    kmin = best - |R| + 1 (MCQ, Tomita & Kameda 2007), the only ones that
-    could be branched on: once the classes done plus the candidates left
-    fall short of kmin, it stops coloring.
+    partner w + v of the pairing rule becomes a local index.  A local graph
+    is built a whole row at a time: row u is gathered word by word from a
+    0/1 byte per element that says whether it lies in D (the bit of w is
+    the byte of lab[u] + lab[w]), so no pair costs a branch or a column
+    write.  The order is kept, so every coloring, branch and node is the
+    one a search over the global labels makes.  A node with clique R colors
+    its candidates greedily, class by class, and lists only the vertices of
+    color at least kmin = best - |R| + 1 (MCQ, Tomita & Kameda 2007), the
+    only ones that could be branched on: once the classes done plus the
+    candidates left fall short of kmin, it stops coloring.
 
     The incumbent starts from the deepest subspace clique.  With a node
     budget (>= 0) the search may stop early, after exactly `budget` nodes,

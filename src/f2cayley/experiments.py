@@ -421,10 +421,13 @@ def _hist(values: Sequence[int]) -> str:
 
 
 def summarize(ns: Sequence[int], records: Sequence[TrialRecord]) -> List[str]:
-    """One CSV row per distinct n, in order of first appearance: prediction
-    match rate, mean chi bracket, histograms."""
+    """One CSV row per distinct n of `ns`, in the order of `ns` (a repeated n
+    keeps its first place): prediction match rate, mean chi bracket,
+    histograms.  Every record's n must be in `ns`."""
     by_n: Dict[int, List[TrialRecord]] = {n: [] for n in ns}
     for r in records:
+        if r.n not in by_n:
+            raise PreconditionError(f"summarize: a record has n = {r.n}, not in ns")
         by_n[r.n].append(r)
     rows = []
     for n, recs in by_n.items():

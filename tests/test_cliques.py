@@ -401,9 +401,10 @@ def reference_max_clique(G, budget=None, subspace_report=None, branch_sizes=None
 
 def test_max_clique_matches_global_label_reference():
     # Root graphs of 118-262 vertices and root branches of 50-142, most not a
-    # multiple of 8, so the word rows cross byte and 64-bit boundaries; the
-    # budget sweep stops the search inside root branches at many depths, and
-    # one graph (n = 8, i = 1, omega 10 > 2^3) improves on its seed there.
+    # multiple of 8, so the word rows cross byte and 64-bit boundaries, and
+    # some of exactly 64 and 128, whose last word is full; the budget sweep
+    # stops the search inside root branches at many depths, and one graph
+    # (n = 8, i = 1, omega 10 > 2^3) improves on its seed there.
     sizes = []
     for n, i in ((8, 0), (8, 1), (9, 0)):
         G = sample_cayley(n, derive_seed(11, i))
@@ -423,6 +424,7 @@ def test_max_clique_matches_global_label_reference():
                     # the witness is the seed until the search beats its size
                     assert (out.witness.mask == seed) == (out.size == seed.bit_count())
     assert max(sizes) > 256 and any(64 < k < 128 and k % 8 for k in sizes)
+    assert {64, 128} <= set(sizes)
 
 
 def test_max_clique_matches_reference_on_a_root_graph_of_many_words():
@@ -462,6 +464,17 @@ def test_max_clique_pins_omega_at_n11():
     out = max_clique(sample_cayley(11, derive_seed(1, 0)))
     assert (out.size, out.optimal, out.nodes) == (32, True, 281_965)
     assert verify_clique(sample_cayley(11, derive_seed(1, 0)), out.witness)
+
+
+def test_run_trial_pins_nodes_at_n10():
+    # about 500 generators, so rows of eight or nine words at the root and
+    # of about four in each root branch; the (omega, alpha) split is pinned
+    # too, so the search tree stays fixed where rows span several words
+    pins = ((236_697, 170_378, 66_319), (120_893, 73_276, 47_617), (3_241, 1_092, 2_149))
+    for i, (nodes, omega_nodes, alpha_nodes) in enumerate(pins):
+        G = sample_cayley(10, derive_seed(1, i))
+        assert run_trial(10, derive_seed(1, i)).nodes == nodes
+        assert (max_clique(G).nodes, independence_number(G).nodes) == (omega_nodes, alpha_nodes)
 
 
 def test_negative_budgets_are_refused():

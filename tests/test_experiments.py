@@ -264,6 +264,13 @@ def test_repeated_ns_summarize_each_n_once(tmp_path):
         summarize([4], ())[0], lines[1]]
 
 
+def test_summarize_refuses_records_outside_ns():
+    with pytest.raises(PreconditionError, match="n = 3"):
+        summarize([4], [run_trial(3, 1)])
+    rows = summarize([5, 4], [run_trial(4, 1)])  # the order of ns, not of the records
+    assert [row.split(",")[:2] for row in rows] == [["5", "0"], ["4", "1"]]
+
+
 def test_experiment_empty_ns(tmp_path):
     cfg = ExperimentConfig.from_dict(dict(
         ns=[], trials=5, base_seed=1, out_dir=str(tmp_path / "e")))
