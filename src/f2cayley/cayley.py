@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PreconditionError
-from .gf2 import ElemSet, xor_shift
+from .gf2 import ElemSet
 from .rng import coin_row
 
 __all__ = ["CayleyGraph", "sample_cayley"]
@@ -38,23 +38,6 @@ class CayleyGraph:
             raise PreconditionError("generator set lives in the wrong ambient dimension")
         if self.generators.mask & 1:
             self.generators = ElemSet(self.n, self.generators.mask & ~1)
-
-    @property
-    def num_vertices(self) -> int:
-        return 1 << self.n
-
-    @property
-    def degree(self) -> int:
-        return self.generators.size
-
-    def neighbors(self, x: int) -> ElemSet:
-        """The neighbor set x + A of a vertex."""
-        if not 0 <= x < self.num_vertices:
-            raise PreconditionError(f"vertex {x} outside F_2^{self.n}")
-        return ElemSet(self.n, xor_shift(self.generators.mask, x, self.n))
-
-    def has_edge(self, x: int, y: int) -> bool:
-        return x != y and ((self.generators.mask >> (x ^ y)) & 1) == 1
 
     def complement(self) -> "CayleyGraph":
         full = ((1 << (1 << self.n)) - 1) & ~1

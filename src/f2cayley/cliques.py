@@ -109,8 +109,9 @@ def _pair_sums(G: CayleyGraph, X: ElemSet, in_gens: bool) -> bool:
     or none is (not in_gens); checked pair by pair, 256 rows of pairs at a
     time."""
     els = np.array(X.elements(), dtype=np.int64)
-    gens = np.zeros(1 << G.n, dtype=bool)
-    gens[G.generators.elements()] = True
+    N = 1 << G.n
+    raw = np.frombuffer(G.generators.mask.to_bytes((N + 7) // 8, "little"), dtype=np.uint8)
+    gens = np.unpackbits(raw, bitorder="little")[:N].astype(bool)
     gens[0] = in_gens  # x + x on the diagonal passes
     for s in range(0, len(els), 256):
         block = gens[els[s:s + 256, None] ^ els[None, :]]
@@ -191,13 +192,16 @@ def max_clique(
 
     The incumbent starts from the deepest subspace clique.  With a node
     budget (>= 0) the search may stop early, after exactly `budget` nodes,
-    returning the incumbent with optimal=False.
+    returning the incumbent with optimal=False.  A `subspace_report` whose
+    witness subspace is no clique of G is refused.
     """
     _require_budget(budget)
     n = G.n
     rep = subspace_report if subspace_report is not None else subspace_cliques(G)
-    seed_mask = subspace_members(Subspace(n, rep.witness_basis)).mask
-    seed_size = seed_mask.bit_count()
+    seed = subspace_members(Subspace(n, rep.witness_basis))
+    if seed.mask & ~G.generators.mask & ~1:
+        raise PreconditionError("subspace report's witness is not a clique of this graph")
+    seed_size = seed.size
     gens = np.array(G.generators.elements(), dtype=np.int32)
     elems = np.zeros(1 << n, dtype=np.int32)
     out = np.zeros(3, dtype=np.int64)
@@ -205,10 +209,8 @@ def max_clique(
     if _native.max_clique(n, gens, len(gens), seed_size, limit, elems, out):
         raise MemoryError("max_clique search ran out of memory")
     size, nodes, stopped = out.tolist()
-    if size > seed_size:  # the kernel writes a clique only when it beats the seed
-        witness = ElemSet.from_elements(n, elems[:size].tolist())
-    else:
-        witness = ElemSet(n, seed_mask)
+    # the kernel writes a clique only when it beats the seed
+    witness = ElemSet.from_elements(n, elems[:size].tolist()) if size > seed_size else seed
     _require(witness.size == size and verify_clique(G, witness),
              "max_clique witness is not a clique of the reported size")
     return CliqueOutcome(size=size, witness=witness, optimal=not stopped, nodes=nodes)
@@ -232,8 +234,12 @@ def coset_coloring(G: CayleyGraph, V: Subspace) -> Coloring:
 
     Proper iff no generator lies in V \\ {0} (a within-coset pair (x, x+a)
     exists exactly when a is a nonzero element of V); violated preconditions
-    report such a pair.  Uses 2^(n - dim V) colors.  Properness is re-checked
-    edge by edge all the same.
+    report such a pair.  Uses 2^(n - dim V) colors, numbered in order of
+    first appearance: x gets the rank of its coset's minimum V.reduce(x)
+    among the integers clear at every pivot, i.e. that minimum's bits at the
+    free positions, packed.  That is linear in x, so the colors of 0 .. 2^i - 1
+    doubled by the color of 2^i give those of 2^i .. 2^(i+1) - 1.
+    Properness is re-checked edge by edge all the same.
     """
     if V.n != G.n:
         raise PreconditionError("subspace lives in the wrong ambient dimension")
@@ -243,14 +249,14 @@ def coset_coloring(G: CayleyGraph, V: Subspace) -> Coloring:
         raise PreconditionError(
             f"subspace is not independent: vertices 0 and {s} are adjacent with sum in V"
         )
-    reps: Dict[int, int] = {}
-    colors = []
-    for x in range(1 << G.n):
-        rep = V.reduce(x)
-        colors.append(reps.setdefault(rep, len(reps)))
-    col = Coloring(colors=tuple(colors), num_colors=len(reps))
-    _require(verify_coloring(G, col), "coset coloring is not proper")
-    return col
+    pivots = [b.bit_length() - 1 for b in V.basis]
+    free = [p for p in range(G.n) if p not in pivots]
+    colors = [0]
+    for i in range(G.n):
+        r = V.reduce(1 << i)
+        g = sum(1 << j for j, p in enumerate(free) if (r >> p) & 1)
+        colors += [c ^ g for c in colors]
+    return _proper(G, colors, "coset")
 
 
 def verify_coloring(G: CayleyGraph, coloring: Coloring) -> bool:
@@ -289,8 +295,13 @@ def greedy_coloring(G: CayleyGraph) -> Coloring:
         taken = {colors[a ^ (1 << i)] for a in gens}
         g = next(c for c in range(len(taken) + 1) if c not in taken)
         colors += [c ^ g for c in colors]
+    return _proper(G, colors, "greedy")
+
+
+def _proper(G: CayleyGraph, colors: List[int], what: str) -> Coloring:
+    """The Coloring of a color list, once verify_coloring has passed it."""
     col = Coloring(colors=tuple(colors), num_colors=max(colors) + 1)
-    _require(verify_coloring(G, col), "greedy coloring is not proper")
+    _require(verify_coloring(G, col), f"{what} coloring is not proper")
     return col
 
 
@@ -360,32 +371,33 @@ def chromatic_bracket(
 ) -> ChromaticBracket:
     """Bracket the chromatic number; exact by exhaustive search when n <= 5.
 
-    lower = max(clique size found, ceil(N / alpha upper bound)); the alpha
-    upper bound comes from the exact independence number when its search
-    completes, else from a coset clique cover (N / 2^d cliques for a
-    qualifying d-dimensional subspace).  upper = N / 2^d' for the deepest
-    subspace V (dimension d') that `subspace_cliques` finds in the
+    lower = max(omega, ceil(N / alpha)), or omega when the independence
+    search stopped at its budget.  No other bound on alpha can raise it: the
+    cosets of G's deepest subspace clique (dimension d) are cliques that
+    cover the vertices, so alpha <= N / 2^d always, and `max_clique` starts
+    from that subspace, so omega >= 2^d always.  upper = N / 2^d' for the
+    deepest subspace V (dimension d') that `subspace_cliques` finds in the
     complement.  No nonzero member of V is a generator, which is checked
     here, so no edge x ~ x + a joins two members of one coset of V: the
     cosets are N / 2^d' proper color classes, the coloring `coset_coloring`
     builds.  d' = 0 gives N singletons.  The bracket is exact when
     lower == upper.
-    Callers that already hold the subspace report or the clique outcome for G
-    can pass them in to skip recomputation.
+    A caller that holds G's clique outcome can pass it in to skip the
+    search; its witness must be a clique of G of its stated size.  Else
+    `subspace_report` goes to `max_clique`.
     """
     _require_budget(budget)
     n, N = G.n, 1 << G.n
-    rep = subspace_cliques(G) if subspace_report is None else subspace_report
-    omega = clique if clique is not None else max_clique(G, budget=budget, subspace_report=rep)
+    if clique is None:
+        clique = max_clique(G, budget=budget, subspace_report=subspace_report)
+    elif (clique.witness.n != n or clique.witness.size != clique.size
+          or not verify_clique(G, clique.witness)):
+        raise PreconditionError("clique outcome is not a clique of this graph of its stated size")
     comp = G.complement()
     comp_rep = subspace_cliques(comp)
     alpha = max_clique(comp, budget=budget, subspace_report=comp_rep)
-    nodes = omega.nodes + alpha.nodes
-
-    alpha_ub = N >> rep.max_dim  # cosets of a qualifying subspace cover V by cliques
-    if alpha.optimal:
-        alpha_ub = min(alpha_ub, alpha.size)
-    lower = max(omega.size, -(-N // alpha_ub))
+    nodes = clique.nodes + alpha.nodes
+    lower = max(clique.size, -(-N // alpha.size)) if alpha.optimal else clique.size
 
     V = Subspace(n, comp_rep.witness_basis)
     _require(not subspace_members(V).mask & ~1 & G.generators.mask,

@@ -337,7 +337,7 @@ def run_trial(
     G = sample_cayley(n, seed)
     rep = subspace_cliques(G)
     omega = max_clique(G, budget=clique_budget, subspace_report=rep)
-    chi = chromatic_bracket(G, budget=chi_budget, subspace_report=rep, clique=omega)
+    chi = chromatic_bracket(G, budget=chi_budget, clique=omega)
     cls = classify_n(n)
     rec = TrialRecord(
         n=n, seed=seed, a_size=len(G.generators),
@@ -376,9 +376,11 @@ class ExperimentConfig:
             base_seed = _integer("base_seed", d["base_seed"])
             clique_budget, chi_budget = (None if d.get(k) is None else _integer(k, d[k])
                                          for k in ("clique_budget", "chi_budget"))
-            out_dir = str(d["out_dir"])
+            out_dir = d["out_dir"]
         except (KeyError, TypeError, ValueError) as exc:
             raise PreconditionError(f"invalid config: {exc}") from exc
+        if not isinstance(out_dir, str) or not out_dir:
+            raise PreconditionError(f"config out_dir must be a non-empty string, got {out_dir!r}")
         if any(not MIN_N <= n <= MAX_N for n in ns):
             raise PreconditionError(f"config ns must lie in [{MIN_N}, {MAX_N}]")
         if trials < 0:
@@ -457,6 +459,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     """
     if workers < 1:
         raise PreconditionError("run_experiment needs workers >= 1")
+    try:
+        os.makedirs(config.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise PreconditionError(f"cannot create {config.out_dir!r}: {exc}") from exc
     ns = [n for n in config.ns for _ in range(config.trials)]
     seeds = [derive_seed(config.base_seed, i) for i in range(len(ns))]
     trial = partial(run_trial, clique_budget=config.clique_budget, chi_budget=config.chi_budget)
@@ -466,7 +472,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = tuple(pool.map(trial, ns, seeds))
 
-    os.makedirs(config.out_dir, exist_ok=True)
     records_path = os.path.join(config.out_dir, "records.jsonl")
     summary_path = os.path.join(config.out_dir, "summary.csv")
     try:

@@ -267,21 +267,13 @@ def cosets(V: Subspace) -> List[ElemSet]:
 
     The minimum of a coset is its unique representative with all pivot bits
     clear, so representatives are exactly the fillings of the non-pivot
-    positions.
+    positions; doubling the list over those positions, lowest first, lists
+    them in increasing order.
     """
-    n = V.n
-    pivot_mask = 0
-    for b in V.basis:
-        pivot_mask |= 1 << (b.bit_length() - 1)
-    free_positions = [p for p in range(n) if not (pivot_mask >> p) & 1]
+    pivots = [b.bit_length() - 1 for b in V.basis]
+    reps = [0]
+    for p in range(V.n):
+        if p not in pivots:
+            reps += [r | 1 << p for r in reps]
     members = subspace_members(V).mask
-    out = []
-    for i in range(1 << len(free_positions)):
-        rep = 0
-        f = i
-        while f:
-            lsb = f & -f
-            rep |= 1 << free_positions[lsb.bit_length() - 1]
-            f ^= lsb
-        out.append(ElemSet(n, xor_shift(members, rep, n)))
-    return out
+    return [ElemSet(V.n, xor_shift(members, r, V.n)) for r in reps]

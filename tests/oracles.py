@@ -1,10 +1,15 @@
 """Exhaustive oracles shared by the clique and acceptance tests."""
-from f2cayley import xor_shift
+import numpy as np
 
 
 def adjacency_masks(G):
-    """Per-vertex neighbor bitmasks of a Cayley graph: 2^n masks of 2^n bits."""
-    return [xor_shift(G.generators.mask, v, G.n) for v in range(1 << G.n)]
+    """Per-vertex neighbor bitmasks of a Cayley graph, 2^n masks of 2^n bits,
+    by the pair rule: x ~ y iff x + y is a generator."""
+    N = 1 << G.n
+    x = np.arange(N)
+    in_gens = np.array([v in G.generators for v in range(N)])
+    return [int.from_bytes(np.packbits(in_gens[x ^ v], bitorder="little").tobytes(), "little")
+            for v in range(N)]
 
 
 def brute_max_clique(adj, N):

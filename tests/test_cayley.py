@@ -27,21 +27,22 @@ def test_sampling_is_deterministic_and_seed_sensitive():
 
 
 def test_generators_exclude_zero_and_drive_edges():
+    # x ~ y iff x + y is a generator, so with 0 outside the generators no
+    # vertex is its own neighbor, and a 0 passed in is dropped
     G = sample_cayley(5, 99)
     assert 0 not in G.generators
-    assert G.degree == len(G.generators)
-    for y in G.neighbors(7):
-        assert G.has_edge(7, y) and G.has_edge(y, 7)
-        assert (7 ^ y) in G.generators
-    assert not G.has_edge(3, 3)
+    assert CayleyGraph(5, ElemSet(5, G.generators.mask | 1)).generators == G.generators
+    for x in range(32):
+        assert sum((x ^ y) in G.generators for y in range(32)) == len(G.generators)
 
 
 def test_complement_flips_every_pair():
     G = sample_cayley(4, 5)
     H = G.complement()
+    assert 0 not in H.generators
     for x in range(16):
         for y in range(x + 1, 16):
-            assert G.has_edge(x, y) != H.has_edge(x, y)
+            assert ((x ^ y) in G.generators) != ((x ^ y) in H.generators)
     assert H.complement().generators == G.generators
 
 
@@ -67,7 +68,7 @@ def test_dimension_range_is_enforced():
     with pytest.raises(PreconditionError):
         sample_cayley(14, 0)
     with pytest.raises(PreconditionError):
-        sample_cayley(5, 3).neighbors(32)
+        CayleyGraph(5, ElemSet(4, 0))  # generators of another dimension
 
 
 def test_generator_sets_are_uniform_at_n2():

@@ -114,6 +114,18 @@ def test_experiment_subcommand(tmp_path, capsys):
     assert len(load_records(d["records_path"])) == 3
 
 
+def test_experiment_output_dir_errors_exit_2(tmp_path, capsys):
+    # an empty out_dir, and one under a regular file, which cannot be made
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out_dir in ("", str(blocker / "out")):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(ns=[4], trials=2, base_seed=5, out_dir=out_dir)))
+        assert main(["experiment", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_precondition_exit_code(capsys):
     assert main(["classify", "--n", "1"]) == 2
     assert main(["omega", "--n", "6"]) == 2  # no seed and no file

@@ -259,13 +259,6 @@ def test_exact_chromatic_pins_node_counts_at_n5():
         assert (rec.chi_exact, rec.nodes) == pinned
 
 
-def brute_adjacency(n, a_mask):
-    """Neighbor masks from the pair rule x ~ y iff x + y is a generator."""
-    N = 1 << n
-    return [sum(1 << y for y in range(N) if y != x and (a_mask >> (x ^ y)) & 1)
-            for x in range(N)]
-
-
 def bron_kerbosch_max(adj, N):
     """Largest clique by Bron-Kerbosch with Tomita pivoting over all N vertices,
     skipping only branches that cannot beat the best size found."""
@@ -309,7 +302,7 @@ def test_max_clique_from_bare_incumbent_on_hard_cases():
     for n, a in PAIRING_HARD_CASES:
         H = CayleyGraph(n, ElemSet(n, a))
         out = max_clique(H, subspace_report=NO_SEED)
-        assert out.optimal and out.size == bron_kerbosch_max(brute_adjacency(n, a), 1 << n)
+        assert out.optimal and out.size == bron_kerbosch_max(adjacency_masks(H), 1 << n)
         assert verify_clique(H, out.witness) and out.witness.size == out.size
 
 
@@ -320,7 +313,7 @@ def test_max_clique_and_alpha_match_bron_kerbosch_at_n5_to_7():
         for i in range(8):
             G = sample_cayley(n, derive_seed(57, 100 * n + i))
             Gc = G.complement()
-            omega = {id(H): bron_kerbosch_max(brute_adjacency(n, H.generators.mask), N)
+            omega = {id(H): bron_kerbosch_max(adjacency_masks(H), N)
                      for H in (G, Gc)}
             for H, Hc in ((G, Gc), (Gc, G)):
                 out = max_clique(H)
@@ -623,10 +616,13 @@ def test_invariant_checks_raise_on_broken_results(monkeypatch):
         m.setattr(Subspace, "reduce", lambda self, x: 0)  # one coset for all
         with pytest.raises(InvariantError, match="coset coloring"):
             coset_coloring(G, V)
-    # a clique outcome larger than any coloring the complement's cosets give
+    # a clique larger than any coloring the complement's cosets give, which
+    # passes only while the clique check is broken
     omega = max_clique(G)
-    with pytest.raises(InvariantError, match="inverted"):
-        chromatic_bracket(G, clique=replace(omega, size=32))
+    with monkeypatch.context() as m:
+        m.setattr(cliques, "verify_clique", lambda G, X: True)
+        with pytest.raises(InvariantError, match="inverted"):
+            chromatic_bracket(G, clique=replace(omega, size=32, witness=ElemSet.full(5)))
     # a complement whose deepest subspace meets A: its cosets are no coloring
     G.complement = lambda: G
     with pytest.raises(InvariantError, match="complement witness"):
@@ -642,13 +638,27 @@ def test_independence_on_perfect_matching():
         assert verify_independent(G, out.witness)
 
 
+def reference_coset_coloring(G, V):
+    """Colors by first appearance of each coset minimum V.reduce(x), x in
+    index order: the reference that coset_coloring must equal color for
+    color."""
+    reps = {}
+    colors = []
+    for x in range(1 << G.n):
+        colors.append(reps.setdefault(V.reduce(x), len(reps)))
+    return tuple(colors), len(reps)
+
+
 def test_coset_coloring_proper_and_sized():
-    G = sample_cayley(4, 2718)
-    comp_rep = subspace_cliques(G.complement())
-    V = Subspace(4, comp_rep.witness_basis)
-    col = coset_coloring(G, V)
-    assert verify_coloring(G, col)
-    assert col.num_colors == 1 << (4 - V.dim)
+    for n in range(2, 12):
+        for i in range(3):
+            G = sample_cayley(n, derive_seed(213, 10 * n + i))
+            for H in (G, G.complement()):
+                V = Subspace(n, subspace_cliques(H.complement()).witness_basis)
+                col = coset_coloring(H, V)
+                assert verify_coloring(H, col)
+                assert col.num_colors == 1 << (n - V.dim)
+                assert (col.colors, col.num_colors) == reference_coset_coloring(H, V)
 
 
 def test_coset_coloring_rejects_non_independent_subspace():
@@ -697,6 +707,31 @@ def test_chromatic_bracket_accepts_precomputed_inputs():
     a = chromatic_bracket(G)
     b = chromatic_bracket(G, subspace_report=rep, clique=omega)
     assert (a.lower, a.upper, a.exact) == (b.lower, b.upper, b.exact)
+
+
+def test_chromatic_bracket_refuses_inputs_of_another_graph():
+    # a clique of G1 is no clique of G2: taken as one, it closed G2's
+    # bracket [13, 16] at 16
+    G1, G2 = sample_cayley(7, 10), sample_cayley(7, 1010)
+    omega = max_clique(G1)
+    assert not verify_clique(G2, omega.witness)
+    with pytest.raises(PreconditionError, match="clique outcome"):
+        chromatic_bracket(G2, clique=omega)
+    br = chromatic_bracket(G2)
+    assert (br.lower, br.upper, br.exact) == (13, 16, None)
+    # a clique of G2 itself, but not of the size it states
+    own = max_clique(G2)
+    for bad in (replace(own, size=own.size + 1), replace(own, witness=ElemSet(6, 1))):
+        with pytest.raises(PreconditionError, match="clique outcome"):
+            chromatic_bracket(G2, clique=bad)
+    assert chromatic_bracket(G2, clique=own) == br
+    # a subspace report of G1 whose witness leaves the generators of G2
+    G1, G2 = sample_cayley(6, 37), sample_cayley(6, 537)
+    rep = subspace_cliques(G1)
+    with pytest.raises(PreconditionError, match="subspace report"):
+        chromatic_bracket(G2, subspace_report=rep)
+    with pytest.raises(PreconditionError, match="subspace report"):
+        max_clique(G2, subspace_report=rep)
 
 
 def test_verify_helpers_reject_bad_witnesses():

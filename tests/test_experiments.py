@@ -307,5 +307,8 @@ def test_config_validation():
             ExperimentConfig.from_dict({**good, key: bad})
     cfg = ExperimentConfig.from_dict(good)
     assert (cfg.ns, cfg.trials, cfg.clique_budget, cfg.chi_budget) == ((4,), 2, 5, 5)
+    for bad in ("", None, 7):  # str() once made None a directory named "None"
+        with pytest.raises(PreconditionError, match="out_dir"):
+            ExperimentConfig.from_dict({**good, "out_dir": bad})
     with pytest.raises(PreconditionError):
         ExperimentConfig.from_file("/nonexistent/config.json")

@@ -1,5 +1,8 @@
-"""The package re-exports each module's public names, each once."""
+"""The package re-exports each module's public names, each once, and keeps
+its checks as code that python -O does not strip."""
+import ast
 import importlib
+import pathlib
 
 import f2cayley
 
@@ -18,3 +21,13 @@ def test_package_exports_every_module_name_once():
     star = {}
     exec("from f2cayley import *", star)
     assert set(names) <= set(star)
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so invariant checks must raise
+    src = pathlib.Path(f2cayley.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in the package: {found}"
