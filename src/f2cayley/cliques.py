@@ -18,7 +18,7 @@ import numpy as np
 from . import _native
 from .errors import InvariantError, PreconditionError
 from .cayley import CayleyGraph
-from .gf2 import ElemSet, Subspace, bits_of, rref, subspace_members
+from .gf2 import ElemSet, Subspace, rref, subspace_members
 
 __all__ = [
     "CliqueOutcome",
@@ -86,7 +86,7 @@ def subspace_cliques(G: CayleyGraph) -> SubspaceCliqueReport:
     witness spans a subspace of dimension max_dim inside A + {0}.
     """
     n = G.n
-    gens = np.array(G.generators.elements(), dtype=np.int32)
+    gens = np.flatnonzero(_member_table(G.generators)).astype(np.int32)
     counts = np.zeros(n + 1, dtype=np.int64)
     rows = np.zeros(n, dtype=np.int32)
     if _native.subspaces(n, gens, len(gens), counts, rows):
@@ -104,14 +104,20 @@ def subspace_cliques(G: CayleyGraph) -> SubspaceCliqueReport:
     )
 
 
+def _member_table(S: ElemSet) -> np.ndarray:
+    """A 0/1 byte per element of F_2^n, 1 on S, from the bytes of S's mask;
+    np.flatnonzero lists S in time linear in 2^n, S.elements() quadratic."""
+    N = 1 << S.n
+    raw = np.frombuffer(S.mask.to_bytes((N + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:N]
+
+
 def _pair_sums(G: CayleyGraph, X: ElemSet, in_gens: bool) -> bool:
     """Whether every sum x + y of distinct x, y in X is a generator (in_gens)
     or none is (not in_gens); checked pair by pair, 256 rows of pairs at a
     time."""
     els = np.array(X.elements(), dtype=np.int64)
-    N = 1 << G.n
-    raw = np.frombuffer(G.generators.mask.to_bytes((N + 7) // 8, "little"), dtype=np.uint8)
-    gens = np.unpackbits(raw, bitorder="little")[:N].astype(bool)
+    gens = _member_table(G.generators)
     gens[0] = in_gens  # x + x on the diagonal passes
     for s in range(0, len(els), 256):
         block = gens[els[s:s + 256, None] ^ els[None, :]]
@@ -202,7 +208,7 @@ def max_clique(
     if seed.mask & ~G.generators.mask & ~1:
         raise PreconditionError("subspace report's witness is not a clique of this graph")
     seed_size = seed.size
-    gens = np.array(G.generators.elements(), dtype=np.int32)
+    gens = np.flatnonzero(_member_table(G.generators)).astype(np.int32)
     elems = np.zeros(1 << n, dtype=np.int32)
     out = np.zeros(3, dtype=np.int64)
     limit = _NODES_MAX if budget is None else min(int(budget), _NODES_MAX)
@@ -267,7 +273,8 @@ def verify_coloring(G: CayleyGraph, coloring: Coloring) -> bool:
     if colors.shape != (N,) or colors.min() < 0 or colors.max() >= coloring.num_colors:
         return False
     x = np.arange(N)
-    return not any((colors[x ^ a] == colors).any() for a in bits_of(G.generators.mask))
+    return not any((colors[x ^ a] == colors).any()
+                   for a in np.flatnonzero(_member_table(G.generators)))
 
 
 def greedy_coloring(G: CayleyGraph) -> Coloring:
@@ -287,12 +294,10 @@ def greedy_coloring(G: CayleyGraph) -> Coloring:
     `chromatic_bracket` does not call it: it never uses fewer colors than
     the coset coloring over the complement's deepest subspace.
     """
-    by_top: List[List[int]] = [[] for _ in range(G.n)]
-    for a in G.generators.elements():
-        by_top[a.bit_length() - 1].append(a)
+    table = _member_table(G.generators)
     colors = [0]
-    for i, gens in enumerate(by_top):
-        taken = {colors[a ^ (1 << i)] for a in gens}
+    for i in range(G.n):  # a ^ 2^i for the generators a with top bit i
+        taken = {colors[u] for u in np.flatnonzero(table[1 << i:2 << i]).tolist()}
         g = next(c for c in range(len(taken) + 1) if c not in taken)
         colors += [c ^ g for c in colors]
     return _proper(G, colors, "greedy")
@@ -406,7 +411,8 @@ def chromatic_bracket(
     _require(lower <= upper, "chromatic bracket is inverted")
 
     if lower < upper and n <= 5:
-        exact, used = _exact_chromatic(G.generators.elements(), N, lower, upper, budget)
+        gens = np.flatnonzero(_member_table(G.generators)).tolist()
+        exact, used = _exact_chromatic(gens, N, lower, upper, budget)
         nodes += used
         if exact is not None:
             lower = upper = exact

@@ -6,19 +6,16 @@ quadruples in both directions: x1 + x2 = x3 + x4 iff the images satisfy the
 same relation.  The Freiman dimension r(X) is the largest r such that X has a
 Freiman-isomorphic copy in F_2^r whose affine hull is all of F_2^r.
 
-Brute force searches images canonically: translations preserve pair sums over
-F_2, so the first point maps to 0, and invertible linear maps let every new
-span-enlarging image be the next fresh basis vector.  The universal-model
-fast path (affine rank of the free F_2-space on X modulo all quadruple
-relations) is cross-validated against brute force in the tests and is not
-authoritative.
+r(X) is the affine rank of X in its universal ambient group, the free
+F_2-space on X modulo every relation a + b = c + d; `freiman_dimension`
+finds it, with a canonical witness image, by one Gaussian elimination.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 from mpmath import mp, mpf
@@ -44,61 +41,36 @@ __all__ = [
     "family_cover_probe",
 ]
 
-MAX_BRUTE = 6
 MAX_ISO = 8
 
 
-def _extensions(
-    xs: List[int], img: List[int], candidates: List[int],
-    dom2img: Dict[int, int], img2dom: Dict[int, int],
-) -> Iterator[int]:
-    """Yield each candidate y that xs[t], t = len(img), may map to.
-
-    y is admitted when every new pair sum xs[j] + xs[t] -> img[j] + y keeps
-    the map of pair sums one to one in both directions.  While y is yielded,
-    img ends in y and the new sums are recorded in dom2img and img2dom; both
-    are undone before the next candidate is tried.
-    """
-    t = len(img)
-    for y in candidates:
-        added = []
-        for j in range(t):
-            s, fs = xs[j] ^ xs[t], img[j] ^ y
-            if dom2img.get(s, fs) != fs or img2dom.get(fs, s) != s:
-                break
-            if s not in dom2img:
-                dom2img[s] = fs
-                img2dom[fs] = s
-                added.append(s)
-        else:
-            img.append(y)
-            yield y
-            img.pop()
-        for s in added:
-            del img2dom[dom2img.pop(s)]
-
-
 def is_freiman_isomorphic(X: ElemSet, Y: ElemSet) -> bool:
-    """Does a Freiman isomorphism X -> Y exist?  Brute force, |X| <= 8."""
+    """Does a Freiman isomorphism X -> Y exist?  Brute force, |X| <= 8: X is
+    mapped point by point, each image keeping the pair sums one to one."""
     if X.size != Y.size:
         raise PreconditionError("Freiman isomorphism needs |X| = |Y|")
     k = X.size
     if not 1 <= k <= MAX_ISO:
         raise PreconditionError(f"is_freiman_isomorphic handles 1 <= |X| <= {MAX_ISO}")
     xs, ys = X.elements(), Y.elements()
-    dom2img: Dict[int, int] = {}
-    img2dom: Dict[int, int] = {}
 
-    def assign(img: List[int]) -> bool:
-        if len(img) == k:
-            return True
-        unused = [y for y in ys if y not in img]
-        for _ in _extensions(xs, img, unused, dom2img, img2dom):
-            if assign(img):
-                return True
-        return False
+    def extend(img: List[int]) -> bool:
+        return len(img) == k or any(
+            y not in img and _preserves_pair_sums(xs, img + [y]) and extend(img + [y])
+            for y in ys)
 
-    return assign([])
+    return extend([])
+
+
+def _preserves_pair_sums(xs: List[int], img: List[int]) -> bool:
+    """Whether xs[t] -> img[t] maps pair sums, x + x = 0 too, one to one both ways."""
+    dom2img, img2dom = {0: 0}, {0: 0}
+    for j in range(len(img)):
+        for i in range(j):
+            s, fs = xs[i] ^ xs[j], img[i] ^ img[j]
+            if dom2img.setdefault(s, fs) != fs or img2dom.setdefault(fs, s) != s:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -110,39 +82,65 @@ class FreimanResult:
 def freiman_dimension(X: ElemSet) -> FreimanResult:
     """Freiman dimension r(X) with a witness image of full affine hull.
 
-    Exhaustive over canonical images (first image 0, fresh generators in
-    order), maximizing the number of generators; r(X) <= |X| - 1 always.
-    With g generators so far the images span range(2^g), so the candidates
-    are the unused points of that range and the fresh generator 2^g.
+    r(X) is the affine rank of X in F_2^X / <e_a + e_b + e_c + e_d :
+    a + b = c + d>, through which every Freiman image of X factors (Tao & Vu,
+    Additive Combinatorics, 2006).  One relation per repeated pair sum, then
+    e_t + e_0 for t = 1 .. k - 1, go into a fully reduced XOR basis keyed by
+    top bit; each row carries its image in its low k bits.  A point that
+    stays independent gets the next fresh vector 2^g, a dependent one the
+    image it reduces to: the one image with r generators, first point 0 and
+    each span-enlarging point the next basis vector.  It is checked; ElemSet
+    refuses one in more than 20 dimensions.
     """
     k = X.size
-    if not 1 <= k <= MAX_BRUTE:
-        raise PreconditionError(f"freiman_dimension handles 1 <= |X| <= {MAX_BRUTE}")
+    if k == 0:
+        raise PreconditionError("freiman_dimension needs a nonempty set")
     xs = X.elements()
-    dom2img: Dict[int, int] = {}
-    img2dom: Dict[int, int] = {}
-    best_r, best_img = 0, [0]
+    rows: Dict[int, int] = {}  # pivot -> (vector << k) | image, 0 at the other pivots
 
-    def assign(img: List[int], gens: int) -> None:
-        nonlocal best_r, best_img
-        if gens + (k - len(img)) <= best_r:
-            return  # cannot beat the incumbent
-        if len(img) == k:
-            best_r, best_img = gens, img.copy()
-            return
-        fresh = 1 << gens
-        candidates = [v for v in range(fresh + 1) if v not in img]
-        for y in _extensions(xs, img, candidates, dom2img, img2dom):
-            assign(img, gens + (y == fresh))
+    def add(points: Tuple[int, ...], image: int) -> int:
+        """The sum of e_p over points, reduced, and inserted with `image` if nonzero."""
+        v = sum(1 << (p + k) for p in points)  # the points are distinct
+        for p in points:  # a row adds no pivot bit, so these are all the rows needed
+            v ^= rows.get(p + k, 0)
+        if v >> k:
+            v ^= image
+            pivot = v.bit_length() - 1
+            for p, row in list(rows.items()):
+                if row >> pivot & 1:
+                    rows[p] = row ^ v
+            rows[pivot] = v
+        return v
 
-    assign([0], 0)
-    return FreimanResult(r=best_r, witness=ElemSet.from_elements(best_r, best_img))
+    first: Dict[int, Tuple[int, int]] = {}  # pair sum -> its first pair (a, b)
+    for j in range(k):
+        for i in range(j):
+            a, b = first.setdefault(xs[i] ^ xs[j], (i, j))
+            if b != j:  # a + b = i + j with {a, b} != {i, j}: four distinct points
+                add((a, b, i, j), 0)
+    img, r = [0], 0
+    for t in range(1, k):
+        v = add((0, t), 1 << r)
+        if v >> k:  # independent
+            v, r = 1 << r, r + 1
+        img.append(v)
+    _check_freiman_image(xs, img, r)
+    return FreimanResult(r=r, witness=ElemSet.from_elements(r, img))
+
+
+def _check_freiman_image(xs: List[int], img: List[int], r: int) -> None:
+    """Raise InvariantError unless xs[t] -> img[t] is a Freiman isomorphism
+    onto a set whose affine hull is all of F_2^r."""
+    if not _preserves_pair_sums(xs, img):
+        raise InvariantError("Freiman witness does not preserve pair sums")
+    if any(y >> r for y in img) or len(rref(y ^ img[0] for y in img)) != r:
+        raise InvariantError(f"Freiman witness does not have affine hull F_2^{r}")
 
 
 def universal_freiman_rank(X: ElemSet) -> int:
     """Affine rank of the free F_2-space on X modulo all quadruple relations.
 
-    Conjecturally equals r(X); use freiman_dimension where both run.
+    Equals r(X); the tests and the benchmark check freiman_dimension by it.
     """
     k = X.size
     if k == 0:
@@ -385,14 +383,14 @@ class CoverProbeReport:
     checked: int
 
 
-def family_cover_probe(n: int, k: int, eps: float, d: int, budget: int = 10**8) -> CoverProbeReport:
+def family_cover_probe(n: int, k: int, eps: float, d: int) -> CoverProbeReport:
     """For every k-subset X of F_2^n, look for a union of almost-cosets of a
     subspace of codimension <= d that sits inside X + X and has size at least
     (2 - eps) k', where k' is the power of 2 with k' < k <= 2k'.
 
     An almost-coset of V may omit up to eps^3 |V| elements.  Subsets with no
     such witness are reported; the probe asserts nothing (small n is far from
-    the asymptotic regime).
+    the asymptotic regime).  n <= 4 caps it at C(16, 8) = 12,870 subsets.
     """
     if not 0 <= n <= 4:
         raise PreconditionError("family_cover_probe is exhaustive; 0 <= n <= 4 only")
@@ -403,9 +401,6 @@ def family_cover_probe(n: int, k: int, eps: float, d: int, budget: int = 10**8) 
         raise PreconditionError("family_cover_probe needs 0 < eps < 1")
     if not 0 <= d <= n:
         raise PreconditionError("family_cover_probe needs 0 <= d <= n")
-    total = math.comb(N, k)
-    if total > budget:
-        raise BudgetExceededError(f"C({N}, {k}) = {total} exceeds budget {budget}")
     kprime = 1
     while 2 * kprime < k:
         kprime *= 2

@@ -56,9 +56,7 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
 
 def coin_row(seed: int, count: int) -> np.ndarray:
     """Coins for indices 0..count-1 under `seed`, as a uint8 0/1 array."""
-    key = np.uint64(mix64(seed & _MASK64))
-    idx = np.arange(count, dtype=np.uint64) * np.uint64(_ELEM_STEP)
-    return (_mix64_np(key ^ idx) >> np.uint64(63)).astype(np.uint8)
+    return coin_matrix([seed], count)[0]
 
 
 def coin_matrix(seeds: Sequence[int], count: int) -> np.ndarray:

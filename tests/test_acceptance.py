@@ -121,7 +121,7 @@ def test_criterion_04_freiman_dimension_invariance_and_universal_model():
         L = _random_invertible(rng, n)
         LX = ElemSet.from_elements(n, [_apply_linear(L, x) for x in X])
         assert freiman_dimension(LX).r == r
-    # universal-model fast path agrees exhaustively on F_2^3, |X| <= 5
+    # the one-shot universal rank agrees exhaustively on F_2^3, |X| <= 5
     for mask in range(1, 256):
         X = ElemSet(3, mask)
         if X.size <= 5:

@@ -79,6 +79,9 @@ def test_freiman_dim_defaults_ambient(capsys):
     code2, out2 = run(capsys, "freiman-dim", "--set", "a", "b", "--n", "4")
     assert code2 == 0
     assert json.loads(out2)["r"] == 1
+    code3, out3 = run(capsys, "freiman-dim", "--set", "1", "2", "4", "8", "10", "20", "40")
+    assert code3 == 0  # seven points: no size cap
+    assert json.loads(out3) == {"n": 7, "k": 7, "r": 6, "witness": ["0", "1", "2", "4", "8", "10", "20"]}
 
 
 def test_classify_and_density(capsys):

@@ -60,12 +60,114 @@ def test_freiman_dimension_small_cases():
     assert freiman_dimension(ElemSet.from_elements(4, [0, 1, 2, 4])).r == 3
 
 
+def reference_freiman_dimension(X):
+    """(r, witness) by exhaustive search over canonical images.
+
+    The first point maps to 0; with g generators so far the images span
+    range(2^g), so each later point maps to an unused point of that range
+    or to the fresh generator 2^g, tried last.  An image is admitted when
+    every new pair sum keeps the map of pair sums one to one in both
+    directions.  The first leaf with the most generators wins.
+    """
+    xs = X.elements()
+    k = len(xs)
+    dom2img, img2dom = {}, {}
+    best_r, best_img = 0, [0]
+
+    def assign(img, gens):
+        nonlocal best_r, best_img
+        if gens + (k - len(img)) <= best_r:
+            return  # cannot beat the incumbent
+        t = len(img)
+        if t == k:
+            best_r, best_img = gens, img.copy()
+            return
+        fresh = 1 << gens
+        for y in range(fresh + 1):
+            if y in img:
+                continue
+            added = []
+            for j in range(t):
+                s, fs = xs[j] ^ xs[t], img[j] ^ y
+                if dom2img.get(s, fs) != fs or img2dom.get(fs, s) != s:
+                    break
+                if s not in dom2img:
+                    dom2img[s] = fs
+                    img2dom[fs] = s
+                    added.append(s)
+            else:
+                img.append(y)
+                assign(img, gens + (y == fresh))
+                img.pop()
+            for s in added:
+                del img2dom[dom2img.pop(s)]
+
+    assign([0], 0)
+    return best_r, ElemSet.from_elements(best_r, best_img)
+
+
+def test_freiman_dimension_matches_reference_search():
+    sets = [ElemSet(4, mask) for mask in range(1, 1 << 16) if mask.bit_count() <= 6]
+    assert len(sets) == 14892
+    rng = random.Random(7878)
+    sets += [ElemSet.from_elements(n, rng.sample(range(1 << n), k))
+             for k in (7, 8) for n in (4, 5, 6, 8) for _ in range(25)]
+    for X in sets:
+        res = freiman_dimension(X)
+        assert (res.r, res.witness) == reference_freiman_dimension(X), X.elements()
+
+
+def _greedy_sidon(n, k):
+    """The first k points of F_2^n, in order, whose pair sums are all distinct."""
+    pts, sums = [], set()
+    for v in range(1 << n):
+        new = {v ^ p for p in pts}
+        if len(new) == len(pts) and not new & sums:
+            pts.append(v)
+            sums |= new
+            if len(pts) == k:
+                return ElemSet.from_elements(n, pts)
+    raise ValueError(f"F_2^{n} has no greedy Sidon set of {k} points")
+
+
+def test_freiman_dimension_refuses_a_witness_above_max_set_dim():
+    X = _greedy_sidon(12, 22)  # no additive quadruple: r = k - 1 = 21
+    assert universal_freiman_rank(X) == 21
+    with pytest.raises(PreconditionError, match="ambient dimension 21"):
+        freiman_dimension(X)
+    assert freiman_dimension(_greedy_sidon(12, 21)).r == 20
+    with pytest.raises(PreconditionError):
+        freiman_dimension(ElemSet(3, 0))
+
+
+def test_freiman_dimension_large_sets_match_universal_rank():
+    rng = random.Random(5151)
+    for n, k, r in ((6, 40, 6), (9, 120, 9), (12, 100, 12), (11, 20, 16)):
+        X = ElemSet.from_elements(n, rng.sample(range(1 << n), k))
+        res = freiman_dimension(X)
+        assert res.r == universal_freiman_rank(X) == r and res.witness.size == k
+        assert span(res.witness).dim == res.r
+
+
+def test_freiman_witness_check_rejects_broken_images():
+    xs = [0, 1, 2, 3, 4]  # 0 + 1 = 2 + 3: r = 3, witness 0, 1, 2, 3, 4
+    freiman._check_freiman_image(xs, [0, 1, 2, 3, 4], 3)
+    for img, r, message in (
+        ([0, 1, 2, 5, 4], 3, "pair sum"),  # 0 + 1 = 2 + 3 is lost
+        ([0, 1, 2, 3, 3], 3, "pair sum"),  # not one to one
+        ([0, 1, 2, 3, 4], 4, "affine hull"),  # spans only F_2^3
+        ([0, 1, 2, 3, 8], 3, "affine hull"),  # a point outside F_2^3
+    ):
+        with pytest.raises(InvariantError, match=message):
+            freiman._check_freiman_image(xs, img, r)
+
+
 def test_freiman_dimension_witness_has_full_hull():
     res = freiman_dimension(ElemSet.from_elements(3, [0, 1, 2, 7]))
     assert res.r == 3  # no additive quadruples among these four points
     rng = random.Random(4444)
     sets = [ElemSet(3, mask) for mask in range(1, 256) if ElemSet(3, mask).size <= 6]
-    sets += [ElemSet.from_elements(4, rng.sample(range(16), 6)) for _ in range(40)]
+    sets += [ElemSet.from_elements(4, rng.sample(range(16), k)) for k in (6, 7, 8) for _ in range(20)]
     for X in sets:
         res = freiman_dimension(X)
         assert res.witness.n == res.r and res.witness.elements()[0] == 0
@@ -96,6 +198,13 @@ def test_dim_bound_examples():
     assert single.holds and single.r == 0
     three = check_dim_bound(ElemSet.from_elements(3, [0, 1, 2]))
     assert three.holds and three.r == 2 and three.l == 4
+    rng = random.Random(810)
+    for k in (8, 9, 10):
+        for n in (4, 5, 7):
+            X = ElemSet.from_elements(n, rng.sample(range(1 << n), k))
+            rep = check_dim_bound(X)
+            assert (rep.k, rep.l) == (k, sumset(X, X).size)
+            assert rep.r == universal_freiman_rank(X) and rep.holds
 
 
 def test_even_zohar_examples():
