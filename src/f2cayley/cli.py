@@ -254,16 +254,27 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
+    # Exact moments print integers of ten thousand digits and more (Var M at
+    # n = 64, m = 14), past the default int-to-str limit of Python >= 3.11.
+    # Lift it for this command only: tests call main in one process.
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
-        result = args.func(args)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceededError as exc:
-        print(f"budget refused: {exc}", file=sys.stderr)
-        return 3
-    print(_render(result, args.format))
-    return 0
+        try:
+            result = args.func(args)
+        except PreconditionError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except BudgetExceededError as exc:
+            print(f"budget refused: {exc}", file=sys.stderr)
+            return 3
+        print(_render(result, args.format))
+        return 0
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(old_limit)
 
 
 if __name__ == "__main__":

@@ -194,8 +194,24 @@ class Subspace:
 
 
 def span(X: ElemSet) -> Subspace:
-    """Smallest subspace containing X (the linear span; subgroups of F_2^n)."""
-    return Subspace(X.n, rref(bits_of(X.mask)))
+    """Smallest subspace containing X (the linear span; subgroups of F_2^n).
+
+    Built by doubling: each step takes the least element of X outside the
+    span so far and ORs in the span's translate by it, so the member mask
+    doubles and the step count is the dimension.  The loop stops after n
+    steps whatever happens, so a broken translate cannot keep it running.
+    """
+    n = X.n
+    members = 1
+    gens = []
+    for _ in range(n):
+        rest = X.mask & ~members
+        if not rest:
+            break
+        v = (rest & -rest).bit_length() - 1
+        gens.append(v)
+        members |= xor_shift(members, v, n)
+    return Subspace(n, rref(gens))
 
 
 def subspace_members(V: Subspace) -> ElemSet:

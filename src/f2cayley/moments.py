@@ -4,13 +4,14 @@ M is the number of m-dimensional subspaces whose 2^m - 1 nonzero elements all
 land in a uniformly random generator set, so E M = [n choose m]_2 * 2^-(2^m-1)
 and the second moment decomposes over pairs of subspaces by intersection
 dimension j, the union of the two nonzero parts having 2^(m+1) - 2^j - 1
-elements.  Everything is computed in exact rational arithmetic.
+elements.  Everything is computed exactly: each moment is an integer
+numerator over one power of two, made a `Fraction` once at the end.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import List
 
 from .errors import PreconditionError
 from .gf2 import gaussian_binomial
@@ -28,6 +29,43 @@ __all__ = [
 ]
 
 
+def _gaussian_row(n: int, k: int) -> List[int]:
+    """[n, i]_2 for i = 0..k, by [n, i+1] = [n, i] (2^(n-i) - 1) / (2^(i+1) - 1)."""
+    row = [1]
+    for i in range(k):
+        row.append(row[-1] * ((1 << (n - i)) - 1) // ((1 << (i + 1)) - 1))
+    return row
+
+
+def _pair_counts(n: int, m: int) -> List[int]:
+    """Ordered pairs of m-dimensional subspaces of F_2^n meeting in dim j, for
+    j = 0..m; the integer core of every moment below."""
+    g = gaussian_binomial(n, m)
+    inner = _gaussian_row(m, m)
+    outer = _gaussian_row(n - m, min(m, n - m))
+    return [
+        g * inner[j] * (1 << ((m - j) * (m - j))) * outer[m - j] if m - j <= n - m else 0
+        for j in range(m + 1)
+    ]
+
+
+def _var_numerator(n: int, m: int, g: int) -> int:
+    """Var M times 2^(2^(m+1) - 2), for g = [n, m]_2.
+
+    A pair meeting in dim j covers 2^(m+1) - 2^j - 1 nonzero elements, so over
+    that common denominator its weight is 2^(2^j - 1), and (E M)^2 is g^2.
+    """
+    return sum(p << ((1 << j) - 1) for j, p in enumerate(_pair_counts(n, m))) - g * g
+
+
+def _dyadic(num: int, e: int) -> Fraction:
+    """num / 2^e in lowest terms, with trailing zeros shifted out of num."""
+    if e <= 0 or num == 0:
+        return Fraction(num << -e if e < 0 else num)
+    t = min((num & -num).bit_length() - 1, e)
+    return Fraction(num >> t, 1 << (e - t))
+
+
 def pairs_by_intersection(n: int, m: int, j: int) -> int:
     """Ordered pairs of m-dimensional subspaces of F_2^n meeting in dim j.
 
@@ -39,33 +77,22 @@ def pairs_by_intersection(n: int, m: int, j: int) -> int:
         raise PreconditionError("pairs_by_intersection needs 0 <= j <= m <= n")
     if m - j > n - m:
         return 0
-    return (
-        gaussian_binomial(n, m)
-        * gaussian_binomial(m, j)
-        * (1 << ((m - j) * (m - j)))
-        * gaussian_binomial(n - m, m - j)
-    )
-
-
-def _pow2(e: int) -> Fraction:
-    return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
+    return _pair_counts(n, m)[j]
 
 
 def expected_M(n: int, m: int) -> Fraction:
     """E M = [n choose m]_2 * 2^-(2^m - 1), exactly."""
     if not 0 <= m <= n:
         raise PreconditionError("expected_M needs 0 <= m <= n")
-    return gaussian_binomial(n, m) * _pow2(-((1 << m) - 1))
+    return _dyadic(gaussian_binomial(n, m), (1 << m) - 1)
 
 
 def variance_M(n: int, m: int) -> Fraction:
-    """Var M over pairs of subspaces split by intersection dimension."""
+    """Var M over pairs of subspaces split by intersection dimension, as one
+    integer numerator over 2^(2^(m+1) - 2)."""
     if not 0 <= m <= n:
         raise PreconditionError("variance_M needs 0 <= m <= n")
-    second = Fraction(0)
-    for j in range(m + 1):
-        second += pairs_by_intersection(n, m, j) * _pow2(-((1 << (m + 1)) - (1 << j) - 1))
-    return second - expected_M(n, m) ** 2
+    return _dyadic(_var_numerator(n, m, gaussian_binomial(n, m)), (1 << (m + 1)) - 2)
 
 
 @dataclass(frozen=True)
@@ -92,15 +119,17 @@ def moment_report(n: int, m: int) -> MomentReport:
     """
     if not 1 <= m <= n:
         raise PreconditionError("moment_report needs 1 <= m <= n")
-    e = expected_M(n, m)
-    v = variance_M(n, m)
-    e_lb = _pow2(n * m - m * m - (1 << m))
-    var_ub = 2 * sum(
-        (_pow2(2 * m * n - (1 << (m + 1)) + (1 << l) - n * l) for l in range(1, m + 1)),
-        Fraction(0),
-    )
-    cheb = v / (e * e)
-    cheb_ub = 8 * m * _pow2(2 * m * m - n)
+    g = gaussian_binomial(n, m)
+    var_num = _var_numerator(n, m, g)
+    e = _dyadic(g, (1 << m) - 1)
+    v = _dyadic(var_num, (1 << (m + 1)) - 2)
+    e_lb = _dyadic(1, m * m + (1 << m) - n * m)
+    # 2 * sum over l of 2^f(l), as one numerator over the least 2^f(l)
+    exps = [2 * m * n - (1 << (m + 1)) + (1 << l) - n * l for l in range(1, m + 1)]
+    low = min(exps)
+    var_ub = _dyadic(sum(1 << (f - low) for f in exps), -(low + 1))
+    cheb = Fraction(var_num, g * g)  # Var M / (E M)^2: the denominators cancel
+    cheb_ub = _dyadic(8 * m, n - 2 * m * m)
     return MomentReport(
         n=n, m=m, e_m=e, var_m=v, paper_e_lb=e_lb, paper_var_ub=var_ub,
         cheb=cheb, cheb_ub=cheb_ub,

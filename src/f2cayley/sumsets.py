@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantError, PreconditionError
-from .gf2 import ElemSet, Subspace, bits_of, rref, xor_shift
+from .gf2 import ElemSet, Subspace, bits_of, span, xor_shift
 
 __all__ = [
     "sumset",
@@ -63,7 +63,9 @@ def sym(S: ElemSet) -> Subspace:
     and its complement, and for finite T, {g : g + T subset of T} = Sym(T).
     That set is the intersection of T + s over s in T; the intersection
     always holds 0 and stops shrinking once it is {0}.  An empty T (S the
-    whole space) leaves the whole space.
+    whole space) leaves the whole space.  Its basis comes from `span` of
+    that mask, by doubling in at most n steps; the size check then confirms
+    that the mask was the subspace it spans.
     """
     if S.mask == 0:
         raise PreconditionError("Sym of the empty set is undefined")
@@ -75,7 +77,7 @@ def sym(S: ElemSet) -> Subspace:
         stab &= xor_shift(T, s, n)
         if stab == 1:
             break
-    V = Subspace(n, rref(bits_of(stab)))
+    V = span(ElemSet(n, stab))
     if V.size != stab.bit_count():
         raise InvariantError("stabilizers do not form a subgroup")
     return V

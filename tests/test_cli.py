@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, formats, files, exit codes."""
+import hashlib
 import json
+import sys
 
 import pytest
 
@@ -59,6 +61,32 @@ def test_moments_csv_format_on_stdout(capsys):
     header, row = out.splitlines()
     assert header.split(",")[:4] == ["n", "m", "E_M", "Var_M"]
     assert row.split(",")[:4] == ["2", "1", "3/2", "3/4"]
+
+
+# sha256 of the exact E_M and Var_M strings at n = 64, m = 14 (5,145 and
+# 15,009 characters), as the Fraction sums of the moments print them.
+M14_DIGESTS = {
+    "E_M": "e5883c9a548fbce86edf326d5c2d79f00cc71141cab8fa11ab4be92a7bcabee8",
+    "Var_M": "36545fdf68320382ed6859f897298437ab69209d0ef12c037d25db9544d97952",
+}
+
+
+def test_moments_print_past_the_int_digit_limit(tmp_path, capsys):
+    """Var M at m = 14 has a 9,864-digit denominator; main lifts Python's
+    int-to-str limit for the command and puts it back afterwards."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    path = tmp_path / "m.csv"
+    code, out = run(capsys, "moments", "--n", "64", "--m", "14", "--csv", str(path))
+    assert code == 0
+    d = json.loads(out)
+    assert {k: hashlib.sha256(d[k].encode()).hexdigest() for k in M14_DIGESTS} == M14_DIGESTS
+    row = path.read_text().splitlines()[1].split(",")
+    assert row[:4] == ["64", "14", d["E_M"], d["Var_M"]]
+    code, out = run(capsys, "--format", "csv", "moments", "--n", "64", "--m", "14")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[:4] == row[:4]
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_skl_counts_and_csv(tmp_path, capsys):

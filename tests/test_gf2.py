@@ -10,9 +10,11 @@ from f2cayley import (
     ElemSet,
     PreconditionError,
     Subspace,
+    bits_of,
     cosets,
     enumerate_subspaces,
     gaussian_binomial,
+    gf2,
     rref,
     rref_insert,
     span,
@@ -101,6 +103,29 @@ def test_subspace_reduce_is_min_of_coset():
         v = rng.getrandbits(n)
         coset = sorted(v ^ w for w in subspace_members(V))
         assert V.reduce(v) == coset[0]
+
+
+def test_span_matches_rref_of_every_member(monkeypatch):
+    """Doubling takes one translate per basis vector and gives the same
+    canonical basis as reducing every element of X."""
+    calls = []
+
+    def counted(mask, t, n):
+        calls.append(t)
+        return xor_shift(mask, t, n)
+
+    monkeypatch.setattr(gf2, "xor_shift", counted)
+    rng = random.Random(17)
+    for n in range(0, 9):
+        N = 1 << n
+        masks = [0, 1, (1 << N) - 1] + [rng.getrandbits(N) for _ in range(30)]
+        masks += [rng.getrandbits(N) & rng.getrandbits(N) & rng.getrandbits(N) for _ in range(30)]
+        for mask in masks:
+            X = ElemSet(n, mask)
+            calls.clear()
+            V = span(X)
+            assert V == Subspace(n, rref(bits_of(X.mask))), (n, mask)
+            assert len(calls) == V.dim <= n
 
 
 def test_span_and_members():

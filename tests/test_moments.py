@@ -17,7 +17,32 @@ from f2cayley import (
     subspace_members,
     variance_M,
 )
-from f2cayley.moments import moment_csv_header, moment_csv_row
+from f2cayley.moments import MomentReport, moment_csv_header, moment_csv_row
+
+
+def _pow2(e):
+    return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
+
+
+def reference_moment_report(n, m):
+    """The moments as sums of Fractions, one per term, each reduced on its own."""
+    e = gaussian_binomial(n, m) * _pow2(-((1 << m) - 1))
+    second = Fraction(0)
+    for j in range(m + 1):
+        second += pairs_by_intersection(n, m, j) * _pow2(-((1 << (m + 1)) - (1 << j) - 1))
+    v = second - e ** 2
+    e_lb = _pow2(n * m - m * m - (1 << m))
+    var_ub = 2 * sum(
+        (_pow2(2 * m * n - (1 << (m + 1)) + (1 << l) - n * l) for l in range(1, m + 1)),
+        Fraction(0),
+    )
+    cheb = v / (e * e)
+    cheb_ub = 8 * m * _pow2(2 * m * m - n)
+    return MomentReport(
+        n=n, m=m, e_m=e, var_m=v, paper_e_lb=e_lb, paper_var_ub=var_ub,
+        cheb=cheb, cheb_ub=cheb_ub,
+        holds_e=e >= e_lb, holds_var=v <= var_ub, holds_cheb=cheb <= cheb_ub,
+    )
 
 
 def test_frozen_small_moments():
@@ -27,6 +52,20 @@ def test_frozen_small_moments():
     assert expected_M(8, 2) == Fraction(10795, 8)
     assert expected_M(3, 3) == Fraction(1, 128)
     assert expected_M(4, 0) == 1 and variance_M(4, 0) == 0
+
+
+@pytest.mark.parametrize("grid", ["benchmark", "all_m_to_16"])
+def test_moment_report_equals_fraction_sums(grid):
+    """Every field, Fraction for Fraction, on the benchmark's (n <= 64,
+    m <= min(n, 8)) and on all 1 <= m <= n <= 16."""
+    if grid == "benchmark":
+        args = [(n, m) for n in range(1, 65) for m in range(1, min(n, 8) + 1)]
+    else:
+        args = [(n, m) for n in range(1, 17) for m in range(1, n + 1)]
+    for n, m in args:
+        rep = moment_report(n, m)
+        assert rep == reference_moment_report(n, m), (n, m)
+        assert (rep.e_m, rep.var_m) == (expected_M(n, m), variance_M(n, m)), (n, m)
 
 
 def test_pairs_by_intersection_hand_counts():
@@ -94,3 +133,7 @@ def test_moment_preconditions():
         pairs_by_intersection(3, 2, 3)
     with pytest.raises(PreconditionError):
         moment_report(3, 0)
+    with pytest.raises(PreconditionError):
+        moment_report(65, 1)  # gaussian_binomial's n <= 64
+    for n in range(0, 65):
+        assert expected_M(n, 0) == 1 and variance_M(n, 0) == 0

@@ -19,7 +19,7 @@ from f2cayley import (
     sym,
     xor_shift,
 )
-from f2cayley import sumsets
+from f2cayley import gf2, sumsets
 
 
 def _oracle_sumset(n, xs, ys):
@@ -215,8 +215,15 @@ def test_invariant_checks_raise_on_broken_results(monkeypatch):
         m.setattr(sumsets, "restricted_sumset", lambda A, B: ElemSet(4, 0b10))
         with pytest.raises(InvariantError, match="restricted sumset"):
             doubling_stats(X)
-    # an rref that drops a row: the stabilizers {0,1,2,3} no longer span themselves
-    rref = sumsets.rref
-    monkeypatch.setattr(sumsets, "rref", lambda rows: rref(rows)[:1])
+    # a span that drops a basis row: the stabilizers {0,1,2,3} are no longer
+    # the subspace their basis spans
+    span = sumsets.span
+    with monkeypatch.context() as m:
+        m.setattr(sumsets, "span", lambda S: Subspace(S.n, span(S).basis[:1]))
+        with pytest.raises(InvariantError, match="subgroup"):
+            sym(X)
+    # a translate that adds nothing: the span never grows, so only the n-step
+    # bound ends the doubling, with one row where the stabilizers need two
+    monkeypatch.setattr(gf2, "xor_shift", lambda mask, t, n: mask)
     with pytest.raises(InvariantError, match="subgroup"):
         sym(X)
