@@ -12,8 +12,9 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from .cayley import CayleyGraph, sample_cayley
 from .cliques import chromatic_bracket, max_clique
@@ -85,18 +86,41 @@ def cmd_chi(args) -> Dict:
     }
 
 
+@contextmanager
+def _int_str_digits(values: List[Fraction]) -> Iterator[None]:
+    """Let str() print every numerator and denominator in `values`.
+
+    Exact moments reach thousands of digits (Var M at n = 64, m = 14 has a
+    9,864-digit denominator), past the int-to-str limit of Python >= 3.11.
+    The limit is raised only as far as these values need, and put back.
+    """
+    old = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    bits = max(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in values)
+    need = bits * 30103 // 100000 + 1  # >= the decimal digits of a bits-bit int
+    if old == 0 or need <= old:
+        yield
+        return
+    sys.set_int_max_str_digits(need)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def cmd_moments(args) -> Dict:
     rep = moment_report(args.n, args.m)
-    if args.csv:
-        _write_file(args.csv, moment_csv_header() + "\n" + moment_csv_row(rep) + "\n")
-    return {
-        "n": rep.n, "m": rep.m,
-        "E_M": str(rep.e_m), "Var_M": str(rep.var_m),
-        "paper_E_lb": str(rep.paper_e_lb), "paper_Var_ub": str(rep.paper_var_ub),
-        "cheb": str(rep.cheb), "cheb_ub": str(rep.cheb_ub),
-        "holds_E": rep.holds_e, "holds_Var": rep.holds_var,
-        "holds_cheb": rep.holds_cheb,
-    }
+    fields = [rep.e_m, rep.var_m, rep.paper_e_lb, rep.paper_var_ub, rep.cheb, rep.cheb_ub]
+    with _int_str_digits(fields):
+        if args.csv:
+            _write_file(args.csv, moment_csv_header() + "\n" + moment_csv_row(rep) + "\n")
+        return {
+            "n": rep.n, "m": rep.m,
+            "E_M": str(rep.e_m), "Var_M": str(rep.var_m),
+            "paper_E_lb": str(rep.paper_e_lb), "paper_Var_ub": str(rep.paper_var_ub),
+            "cheb": str(rep.cheb), "cheb_ub": str(rep.cheb_ub),
+            "holds_E": rep.holds_e, "holds_Var": rep.holds_var,
+            "holds_cheb": rep.holds_cheb,
+        }
 
 
 def cmd_skl(args) -> Dict:
@@ -254,27 +278,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
-    # Exact moments print integers of ten thousand digits and more (Var M at
-    # n = 64, m = 14), past the default int-to-str limit of Python >= 3.11.
-    # Lift it for this command only: tests call main in one process.
-    limited = hasattr(sys, "set_int_max_str_digits")
-    if limited:
-        old_limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
     try:
-        try:
-            result = args.func(args)
-        except PreconditionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except BudgetExceededError as exc:
-            print(f"budget refused: {exc}", file=sys.stderr)
-            return 3
-        print(_render(result, args.format))
-        return 0
-    finally:
-        if limited:
-            sys.set_int_max_str_digits(old_limit)
+        result = args.func(args)
+    except PreconditionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BudgetExceededError as exc:
+        print(f"budget refused: {exc}", file=sys.stderr)
+        return 3
+    print(_render(result, args.format))
+    return 0
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ __all__ = [
     "rref_insert",
     "span",
     "subspace_members",
+    "gaussian_row",
     "gaussian_binomial",
     "enumerate_subspaces",
     "cosets",
@@ -221,18 +222,25 @@ def subspace_members(V: Subspace) -> ElemSet:
     return ElemSet(V.n, mask)
 
 
-def gaussian_binomial(n: int, m: int) -> int:
-    """Number of m-dimensional subspaces of F_2^n, exactly.
+def gaussian_row(n: int, k: int) -> List[int]:
+    """[n, i]_2 for i = 0..k, the numbers of i-dimensional subspaces of F_2^n.
 
-    prod_{i<m} (2^(n-i) - 1) / (2^(m-i) - 1), evaluated in integer arithmetic.
+    Exact integer recurrence [n, i+1] = [n, i] (2^(n-i) - 1) / (2^(i+1) - 1);
+    every division is exact.
     """
+    if not 0 <= k <= n <= 64:
+        raise PreconditionError(f"gaussian_row needs 0 <= k <= n <= 64, got ({n}, {k})")
+    row = [1]
+    for i in range(k):
+        row.append(row[-1] * ((1 << (n - i)) - 1) // ((1 << (i + 1)) - 1))
+    return row
+
+
+def gaussian_binomial(n: int, m: int) -> int:
+    """Number of m-dimensional subspaces of F_2^n, exactly: [n, m]_2."""
     if not 0 <= m <= n <= 64:
         raise PreconditionError(f"gaussian_binomial needs 0 <= m <= n <= 64, got ({n}, {m})")
-    num = den = 1
-    for i in range(m):
-        num *= (1 << (n - i)) - 1
-        den *= (1 << (m - i)) - 1
-    return num // den
+    return gaussian_row(n, min(m, n - m))[-1]  # [n, m] = [n, n - m]
 
 
 def enumerate_subspaces(n: int, m: int, budget: int = 10**8) -> Iterator[Subspace]:

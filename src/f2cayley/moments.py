@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List
 
 from .errors import PreconditionError
-from .gf2 import gaussian_binomial
+from .gf2 import gaussian_binomial, gaussian_row
 
 __all__ = [
     "pairs_by_intersection",
@@ -29,20 +29,11 @@ __all__ = [
 ]
 
 
-def _gaussian_row(n: int, k: int) -> List[int]:
-    """[n, i]_2 for i = 0..k, by [n, i+1] = [n, i] (2^(n-i) - 1) / (2^(i+1) - 1)."""
-    row = [1]
-    for i in range(k):
-        row.append(row[-1] * ((1 << (n - i)) - 1) // ((1 << (i + 1)) - 1))
-    return row
-
-
-def _pair_counts(n: int, m: int) -> List[int]:
+def _pair_counts(n: int, m: int, g: int) -> List[int]:
     """Ordered pairs of m-dimensional subspaces of F_2^n meeting in dim j, for
-    j = 0..m; the integer core of every moment below."""
-    g = gaussian_binomial(n, m)
-    inner = _gaussian_row(m, m)
-    outer = _gaussian_row(n - m, min(m, n - m))
+    j = 0..m and g = [n, m]_2; the integer core of every moment below."""
+    inner = gaussian_row(m, m)
+    outer = gaussian_row(n - m, min(m, n - m))
     return [
         g * inner[j] * (1 << ((m - j) * (m - j))) * outer[m - j] if m - j <= n - m else 0
         for j in range(m + 1)
@@ -55,15 +46,12 @@ def _var_numerator(n: int, m: int, g: int) -> int:
     A pair meeting in dim j covers 2^(m+1) - 2^j - 1 nonzero elements, so over
     that common denominator its weight is 2^(2^j - 1), and (E M)^2 is g^2.
     """
-    return sum(p << ((1 << j) - 1) for j, p in enumerate(_pair_counts(n, m))) - g * g
+    return sum(p << ((1 << j) - 1) for j, p in enumerate(_pair_counts(n, m, g))) - g * g
 
 
 def _dyadic(num: int, e: int) -> Fraction:
-    """num / 2^e in lowest terms, with trailing zeros shifted out of num."""
-    if e <= 0 or num == 0:
-        return Fraction(num << -e if e < 0 else num)
-    t = min((num & -num).bit_length() - 1, e)
-    return Fraction(num >> t, 1 << (e - t))
+    """num / 2^e as a Fraction, for any integer e."""
+    return Fraction(num, 1 << e) if e >= 0 else Fraction(num << -e)
 
 
 def pairs_by_intersection(n: int, m: int, j: int) -> int:
@@ -77,7 +65,7 @@ def pairs_by_intersection(n: int, m: int, j: int) -> int:
         raise PreconditionError("pairs_by_intersection needs 0 <= j <= m <= n")
     if m - j > n - m:
         return 0
-    return _pair_counts(n, m)[j]
+    return _pair_counts(n, m, gaussian_binomial(n, m))[j]
 
 
 def expected_M(n: int, m: int) -> Fraction:

@@ -72,8 +72,9 @@ M14_DIGESTS = {
 
 
 def test_moments_print_past_the_int_digit_limit(tmp_path, capsys):
-    """Var M at m = 14 has a 9,864-digit denominator; main lifts Python's
-    int-to-str limit for the command and puts it back afterwards."""
+    """Var M at m = 14 has a 9,864-digit denominator; the moments command
+    raises Python's int-to-str limit as far as its output needs and puts it
+    back afterwards."""
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     path = tmp_path / "m.csv"
     code, out = run(capsys, "moments", "--n", "64", "--m", "14", "--csv", str(path))

@@ -14,6 +14,7 @@ from f2cayley import (
     cosets,
     enumerate_subspaces,
     gaussian_binomial,
+    gaussian_row,
     gf2,
     rref,
     rref_insert,
@@ -144,6 +145,24 @@ def test_gaussian_binomial_table():
     assert gaussian_binomial(9, 4) == 3309747
     with pytest.raises(PreconditionError):
         gaussian_binomial(3, 4)
+
+
+def test_gaussian_row_equals_product_formula():
+    """Every [n, k]_2 for n <= 64 against prod (2^(n-i) - 1) / (2^(k-i) - 1)."""
+    for n in range(65):
+        row = gaussian_row(n, n)
+        for k in range(n + 1):
+            num = den = 1
+            for i in range(k):
+                num *= (1 << (n - i)) - 1
+                den *= (1 << (k - i)) - 1
+            assert num % den == 0
+            assert row[k] == gaussian_binomial(n, k) == num // den, (n, k)
+    with pytest.raises(PreconditionError):
+        gaussian_row(65, 1)
+    with pytest.raises(PreconditionError):
+        gaussian_row(3, 4)
+
 
 
 @given(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10))

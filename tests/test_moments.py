@@ -1,5 +1,6 @@
 """Exact rational moments of the subspace-clique count."""
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -24,12 +25,31 @@ def _pow2(e):
     return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
 
 
+@lru_cache(maxsize=None)
+def _gauss(n, k):
+    """[n, k]_2 by the q-Pascal rule [n, k] = [n-1, k-1] + 2^k [n-1, k]."""
+    if k < 0 or k > n:
+        return 0
+    if k == 0 or k == n:
+        return 1
+    return _gauss(n - 1, k - 1) + (1 << k) * _gauss(n - 1, k)
+
+
+def _pairs(n, m, j):
+    """[n,m] * [m,j] * 2^((m-j)^2) * [n-m, m-j], or 0 when m - j > n - m."""
+    if m - j > n - m:
+        return 0
+    return _gauss(n, m) * _gauss(m, j) * (1 << ((m - j) ** 2)) * _gauss(n - m, m - j)
+
+
 def reference_moment_report(n, m):
-    """The moments as sums of Fractions, one per term, each reduced on its own."""
-    e = gaussian_binomial(n, m) * _pow2(-((1 << m) - 1))
+    """The moments as sums of Fractions, one per term, each reduced on its own,
+    with every Gaussian binomial from the q-Pascal rule rather than the
+    package's code."""
+    e = _gauss(n, m) * _pow2(-((1 << m) - 1))
     second = Fraction(0)
     for j in range(m + 1):
-        second += pairs_by_intersection(n, m, j) * _pow2(-((1 << (m + 1)) - (1 << j) - 1))
+        second += _pairs(n, m, j) * _pow2(-((1 << (m + 1)) - (1 << j) - 1))
     v = second - e ** 2
     e_lb = _pow2(n * m - m * m - (1 << m))
     var_ub = 2 * sum(
@@ -66,6 +86,14 @@ def test_moment_report_equals_fraction_sums(grid):
         rep = moment_report(n, m)
         assert rep == reference_moment_report(n, m), (n, m)
         assert (rep.e_m, rep.var_m) == (expected_M(n, m), variance_M(n, m)), (n, m)
+
+
+def test_pairs_by_intersection_equals_closed_form():
+    for n in range(0, 65):
+        for m in range(0, min(n, 8) + 1):
+            assert [pairs_by_intersection(n, m, j) for j in range(m + 1)] == [
+                _pairs(n, m, j) for j in range(m + 1)
+            ], (n, m)
 
 
 def test_pairs_by_intersection_hand_counts():
