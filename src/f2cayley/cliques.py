@@ -9,6 +9,7 @@ nodes, never wall time, so runs are reproducible.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Dict, List, Optional, Tuple
@@ -368,6 +369,55 @@ def _exact_chromatic(gens: List[int], N: int, lower: int, upper: int,
     return best, nodes
 
 
+def _complement_side(G: CayleyGraph, budget: Optional[int]
+                     ) -> Tuple[SubspaceCliqueReport, CliqueOutcome]:
+    """The complement's subspace report, whose deepest subspace colors G,
+    and its maximum clique, alpha of G."""
+    comp = G.complement()
+    comp_rep = subspace_cliques(comp)
+    return comp_rep, max_clique(comp, budget=budget, subspace_report=comp_rep)
+
+
+def _sides_and_bracket(
+    G: CayleyGraph,
+    clique_budget: Optional[int],
+    chi_budget: Optional[int],
+    subspace_report: Optional[SubspaceCliqueReport] = None,
+) -> Tuple[SubspaceCliqueReport, CliqueOutcome, ChromaticBracket]:
+    """G's subspace report, omega and chromatic bracket, with the two sides
+    run at once.
+
+    The complement side (budget `chi_budget`) runs on a thread started and
+    joined here while the calling thread runs G's side (`clique_budget`).
+    Both spend their time in the C kernels, which ctypes calls with the GIL
+    released and which keep all their state per call, so the sides overlap
+    on two cores and each search meets the nodes a serial run meets.  The
+    thread lives for this call only: a pool kept across calls would be
+    copied into a forked worker process without its threads.  It is a
+    daemon so that an interrupt is not held up by a search still running.
+    An exception from either side is raised once the thread is joined, G's
+    first, as a serial run would raise it.
+    """
+    comp_side: list = []  # the complement side's result, or its exception
+
+    def run_complement() -> None:
+        try:
+            comp_side.append(_complement_side(G, chi_budget))
+        except BaseException as exc:  # raised again in the calling thread
+            comp_side.append(exc)
+
+    worker = threading.Thread(target=run_complement, name="f2cayley-complement", daemon=True)
+    worker.start()
+    try:
+        rep = subspace_report if subspace_report is not None else subspace_cliques(G)
+        omega = max_clique(G, budget=clique_budget, subspace_report=rep)
+    finally:
+        worker.join()
+    if isinstance(comp_side[0], BaseException):
+        raise comp_side[0]
+    return rep, omega, _bracket(G, omega, *comp_side[0], chi_budget)
+
+
 def chromatic_bracket(
     G: CayleyGraph,
     budget: Optional[int] = None,
@@ -387,20 +437,29 @@ def chromatic_bracket(
     cosets are N / 2^d' proper color classes, the coloring `coset_coloring`
     builds.  d' = 0 gives N singletons.  The bracket is exact when
     lower == upper.
-    A caller that holds G's clique outcome can pass it in to skip the
-    search; its witness must be a clique of G of its stated size.  Else
-    `subspace_report` goes to `max_clique`.
+
+    Without `clique`, G's side (its subspace report, or `subspace_report`,
+    then omega) and the complement's side (its report, then alpha) run at
+    once, the complement's on a second thread; the answers and node counts
+    are those of running them one after the other.  A caller that holds G's
+    clique outcome can pass it in to skip G's side; its witness must be a
+    clique of G of its stated size, and the complement's side then runs on
+    the calling thread.
     """
     _require_budget(budget)
-    n, N = G.n, 1 << G.n
     if clique is None:
-        clique = max_clique(G, budget=budget, subspace_report=subspace_report)
-    elif (clique.witness.n != n or clique.witness.size != clique.size
-          or not verify_clique(G, clique.witness)):
+        return _sides_and_bracket(G, budget, budget, subspace_report)[2]
+    if (clique.witness.n != G.n or clique.witness.size != clique.size
+            or not verify_clique(G, clique.witness)):
         raise PreconditionError("clique outcome is not a clique of this graph of its stated size")
-    comp = G.complement()
-    comp_rep = subspace_cliques(comp)
-    alpha = max_clique(comp, budget=budget, subspace_report=comp_rep)
+    return _bracket(G, clique, *_complement_side(G, budget), budget)
+
+
+def _bracket(G: CayleyGraph, clique: CliqueOutcome, comp_rep: SubspaceCliqueReport,
+             alpha: CliqueOutcome, budget: Optional[int]) -> ChromaticBracket:
+    """Combine omega, alpha and the complement's deepest subspace into the
+    bracket that `chromatic_bracket` describes; DSATUR closes it when n <= 5."""
+    n, N = G.n, 1 << G.n
     nodes = clique.nodes + alpha.nodes
     lower = max(clique.size, -(-N // alpha.size)) if alpha.optimal else clique.size
 

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from mpmath.libmp import from_float, from_int, mpf_sign, mpi_add, mpi_div, mpi_log, mpi_sub
 
 from .cayley import MAX_N, MIN_N, sample_cayley
-from .cliques import chromatic_bracket, max_clique, subspace_cliques
+from .cliques import _sides_and_bracket
 from .errors import PreconditionError
 from .rng import derive_seed
 
@@ -332,12 +332,19 @@ def run_trial(
     clique_budget: Optional[int] = None,
     chi_budget: Optional[int] = None,
 ) -> TrialRecord:
-    """Sample the graph for (n, seed) and measure everything once."""
+    """Sample the graph for (n, seed) and measure everything once.
+
+    The graph's side (its subspace cliques, then omega within
+    `clique_budget`) and the complement's side (its subspace cliques, then
+    alpha within `chi_budget`) each run once, and at once: the complement's
+    on a second thread that lives for this call, by the path
+    `chromatic_bracket(G)` takes, and the bracket is formed from the two.
+    The record, node counts included, is the one a serial run writes; only
+    `elapsed` differs.
+    """
     t0 = time.perf_counter()
     G = sample_cayley(n, seed)
-    rep = subspace_cliques(G)
-    omega = max_clique(G, budget=clique_budget, subspace_report=rep)
-    chi = chromatic_bracket(G, budget=chi_budget, clique=omega)
+    rep, omega, chi = _sides_and_bracket(G, clique_budget, chi_budget)
     cls = classify_n(n)
     rec = TrialRecord(
         n=n, seed=seed, a_size=len(G.generators),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List
 
-from .errors import PreconditionError
+from .errors import BudgetExceededError, PreconditionError
 from .gf2 import gaussian_binomial, gaussian_row
 
 __all__ = [
@@ -27,6 +27,22 @@ __all__ = [
     "EqknCheck",
     "eqkn_check",
 ]
+
+
+# The largest m whose moments are computed.  E M and Var M are numerators
+# over 2^(2^m - 1) and 2^(2^(m+1) - 2), so each step of m doubles their bits:
+# moment_report(64, 20) took 7 s on a 2-core host (`f2cayley moments` 27 s,
+# most of it printing), and m = 30 would need integers of 2^31 bits.
+MAX_M = 20
+
+
+def _require_m(name: str, n: int, m: int, low: int) -> None:
+    if not low <= m <= n:
+        raise PreconditionError(f"{name} needs {low} <= m <= n")
+    if m > MAX_M:
+        raise BudgetExceededError(
+            f"{name} refuses m = {m} > {MAX_M}: the moments at m have "
+            f"denominators of up to {(1 << (m + 1)) - 2} bits")
 
 
 def _pair_counts(n: int, m: int, g: int) -> List[int]:
@@ -70,16 +86,14 @@ def pairs_by_intersection(n: int, m: int, j: int) -> int:
 
 def expected_M(n: int, m: int) -> Fraction:
     """E M = [n choose m]_2 * 2^-(2^m - 1), exactly."""
-    if not 0 <= m <= n:
-        raise PreconditionError("expected_M needs 0 <= m <= n")
+    _require_m("expected_M", n, m, 0)
     return _dyadic(gaussian_binomial(n, m), (1 << m) - 1)
 
 
 def variance_M(n: int, m: int) -> Fraction:
     """Var M over pairs of subspaces split by intersection dimension, as one
     integer numerator over 2^(2^(m+1) - 2)."""
-    if not 0 <= m <= n:
-        raise PreconditionError("variance_M needs 0 <= m <= n")
+    _require_m("variance_M", n, m, 0)
     return _dyadic(_var_numerator(n, m, gaussian_binomial(n, m)), (1 << (m + 1)) - 2)
 
 
@@ -103,10 +117,10 @@ def moment_report(n: int, m: int) -> MomentReport:
 
     holds_e (E M >= 2^(nm - m^2 - 2^m)) is a theorem at every size; the
     variance and Chebyshev comparisons are asymptotic claims and their flags
-    are reported without being asserted anywhere.
+    are reported without being asserted anywhere.  Like `expected_M` and
+    `variance_M`, it refuses m > MAX_M = 20 with BudgetExceededError.
     """
-    if not 1 <= m <= n:
-        raise PreconditionError("moment_report needs 1 <= m <= n")
+    _require_m("moment_report", n, m, 1)
     g = gaussian_binomial(n, m)
     var_num = _var_numerator(n, m, g)
     e = _dyadic(g, (1 << m) - 1)

@@ -184,7 +184,9 @@ def test_negative_budget_exit_code(capsys):
 
 def test_budget_exit_code(capsys):
     assert main(["skl", "--n", "13", "--k", "10"]) == 3
-    capsys.readouterr()
+    assert main(["moments", "--n", "64", "--m", "21"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("budget refused:") == 2
 
 
 def test_argparse_rejects_unknown_command():

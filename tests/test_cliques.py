@@ -1,5 +1,7 @@
 """Clique, independence and coloring machinery against brute-force oracles."""
 import random
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -635,6 +637,69 @@ def test_invariant_checks_raise_on_broken_results(monkeypatch):
     G.complement = lambda: G
     with pytest.raises(InvariantError, match="complement witness"):
         chromatic_bracket(G)
+
+
+def _complement_threads():
+    return [t for t in threading.enumerate() if t.name == "f2cayley-complement"]
+
+
+def test_a_failing_side_raises_after_both_are_joined(monkeypatch):
+    # the two sides run at once; whichever fails, the caller gets the error
+    # a serial run raises, and no thread outlives the call
+    seed = derive_seed(11, 3)
+    G = sample_cayley(7, seed)
+    gens_of = {side: np.flatnonzero(cliques._member_table(H.generators))
+               for side, H in (("graph", G), ("complement", G.complement()))}
+    seed_size = 1 << subspace_cliques(G).max_dim
+    fake = list(range(seed_size + 1))
+    assert not verify_clique(G, ElemSet.from_elements(7, fake))
+    kernel = cliques._native.max_clique
+
+    def broken_on(*sides):
+        def wrapped(n, gens, k, seed, budget, witness, out):
+            if np.array_equal(gens, gens_of["complement"]):
+                if "complement" in sides:
+                    return 2
+                time.sleep(0.05)  # still searching when the graph side fails
+            elif "graph" in sides:
+                witness[:len(fake)] = fake
+                out[:] = (len(fake), 7, 0)
+                return 0
+            return kernel(n, gens, k, seed, budget, witness, out)
+        return wrapped
+
+    before = threading.active_count()
+    # the graph side's error comes first, as it would run first serially
+    for sides, error in ((("complement",), MemoryError), (("graph",), InvariantError),
+                         (("graph", "complement"), InvariantError)):
+        with monkeypatch.context() as m:
+            m.setattr(cliques._native, "max_clique", broken_on(*sides))
+            with pytest.raises(error):
+                run_trial(7, seed)
+            with pytest.raises(error):
+                chromatic_bracket(G)
+            assert not _complement_threads() and threading.active_count() == before
+    assert chromatic_bracket(G) == chromatic_bracket(G, clique=max_clique(G))
+
+
+def test_overlapped_sides_give_the_serial_answers():
+    # chromatic_bracket(G) runs omega and alpha at once; passing the clique
+    # runs them one after the other.  run_trial routes each budget to its side.
+    for n in range(2, 11):
+        for i in range(3):
+            seed = derive_seed(11, i)
+            G = sample_cayley(n, seed)
+            for b in (None, 1, 50):
+                serial = chromatic_bracket(G, budget=b, clique=max_clique(G, budget=b))
+                assert chromatic_bracket(G, budget=b) == serial, (n, i, b)
+            for cb, xb in ((None, 1), (1, 50), (50, None)):
+                omega = max_clique(G, budget=cb)
+                br = chromatic_bracket(G, budget=xb, clique=omega)
+                rec = run_trial(n, seed, clique_budget=cb, chi_budget=xb)
+                assert ((rec.omega_size, rec.omega_optimal, rec.chi_lower, rec.chi_upper,
+                         rec.nodes) == (omega.size, omega.optimal, br.lower, br.upper,
+                                        br.nodes)), (n, i, cb, xb)
+    assert not _complement_threads()
 
 
 def test_independence_on_perfect_matching():

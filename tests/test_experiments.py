@@ -1,6 +1,7 @@
 """Concentration classifier, optimality sequences, and the trial harness."""
 import json
 import math
+import threading
 import time
 from fractions import Fraction
 
@@ -237,6 +238,28 @@ def test_run_trial_is_deterministic_up_to_timing():
     da.pop("elapsed"), db.pop("elapsed")
     assert da == db
     assert a.omega_size >= 1 << a.max_subspace_dim
+
+
+def test_trial_threads_are_gone_before_a_pool_forks(tmp_path):
+    # a trial starts and joins its own complement thread, so a process pool
+    # forked after one copies no thread, and two workers write the bytes
+    # one worker writes
+    before = threading.active_count()
+    run_trial(8, 5)
+    assert threading.active_count() == before
+
+    def outputs(workers):
+        cfg = ExperimentConfig.from_dict(dict(
+            ns=[5, 8], trials=3, base_seed=18, out_dir=str(tmp_path / str(workers))))
+        res = run_experiment(cfg, workers=workers)
+        with open(res.records_path) as fh:
+            records = [{k: v for k, v in json.loads(line).items() if k != "elapsed"}
+                       for line in fh]
+        with open(res.summary_path, "rb") as fh:
+            return json.dumps(records, sort_keys=True), fh.read()
+
+    assert outputs(2) == outputs(1)
+    assert threading.active_count() == before
 
 
 def test_experiment_round_trip(tmp_path):

@@ -2,12 +2,14 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from f2cayley import (
+    BudgetExceededError,
     PreconditionError,
     enumerate_subspaces,
     eqkn_check,
@@ -135,6 +137,19 @@ def test_moment_report_bounds_and_flags():
     rep62 = moment_report(6, 2)
     assert rep62.e_m == Fraction(651, 8)
     assert rep62.holds_e
+
+
+def test_moments_past_the_largest_m_are_refused_at_once():
+    # at m = 21 Var M's denominator has 2^22 - 2 bits; nothing is computed
+    t0 = time.perf_counter()
+    for f in (moment_report, expected_M, variance_M):
+        with pytest.raises(BudgetExceededError, match="m = 21 > 20"):
+            f(64, 21)
+    assert time.perf_counter() - t0 < 1.0
+    # the domain is checked first: m > n stays a precondition error
+    with pytest.raises(PreconditionError):
+        moment_report(3, 25)
+    assert expected_M(20, 20) == Fraction(1, 1 << ((1 << 20) - 1))  # m = 20 is computed
 
 
 def test_moment_csv_format():
