@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,15 +51,14 @@ class SubspaceCliqueReport:
     """Counts M_m of m-dimensional subspaces whose nonzero part is all-edges.
 
     M_0 = 1 (the zero subspace) always.  The enumeration always runs to the
-    end, so every count is exact and `complete` is always True; the field is
-    kept for callers that check it.  `witness_basis` is a canonical RREF basis
-    of the first deepest subspace in the search order.
+    end, so every count is exact and `complete` is True.  `witness_basis` is
+    a canonical RREF basis of the first deepest subspace in the search order.
     """
 
     counts: Dict[int, int]
     max_dim: int
-    complete: bool
     witness_basis: Tuple[int, ...]
+    complete: ClassVar[bool] = True
 
 
 def subspace_cliques(G: CayleyGraph) -> SubspaceCliqueReport:
@@ -100,9 +99,7 @@ def subspace_cliques(G: CayleyGraph) -> SubspaceCliqueReport:
     _require(witness.dim == max_dim
              and not subspace_members(witness).mask & ~G.generators.mask & ~1,
              "subspace witness is not a qualifying subspace of dimension max_dim")
-    return SubspaceCliqueReport(
-        counts=found, max_dim=max_dim, complete=True, witness_basis=witness.basis
-    )
+    return SubspaceCliqueReport(counts=found, max_dim=max_dim, witness_basis=witness.basis)
 
 
 def _member_table(S: ElemSet) -> np.ndarray:
@@ -146,6 +143,14 @@ def _require_budget(budget: Optional[int]) -> None:
     if budget is not None and (isinstance(budget, bool) or not isinstance(budget, Integral)
                                or budget < 0):
         raise PreconditionError(f"search budget must be an integer >= 0, got {budget!r}")
+
+
+def _report_seed(G: CayleyGraph, rep: SubspaceCliqueReport) -> ElemSet:
+    """The members of the report's witness subspace, refused unless a clique of G."""
+    seed = subspace_members(Subspace(G.n, rep.witness_basis))
+    if seed.mask & ~G.generators.mask & ~1:
+        raise PreconditionError("subspace report's witness is not a clique of this graph")
+    return seed
 
 
 _NODES_MAX = (1 << 63) - 1  # no search reaches it: the budget of an unbudgeted search
@@ -204,10 +209,7 @@ def max_clique(
     """
     _require_budget(budget)
     n = G.n
-    rep = subspace_report if subspace_report is not None else subspace_cliques(G)
-    seed = subspace_members(Subspace(n, rep.witness_basis))
-    if seed.mask & ~G.generators.mask & ~1:
-        raise PreconditionError("subspace report's witness is not a clique of this graph")
+    seed = _report_seed(G, subspace_report if subspace_report is not None else subspace_cliques(G))
     seed_size = seed.size
     gens = np.flatnonzero(_member_table(G.generators)).astype(np.int32)
     elems = np.zeros(1 << n, dtype=np.int32)
@@ -369,27 +371,25 @@ def _exact_chromatic(gens: List[int], N: int, lower: int, upper: int,
     return best, nodes
 
 
-def _complement_side(G: CayleyGraph, budget: Optional[int]
-                     ) -> Tuple[SubspaceCliqueReport, CliqueOutcome]:
-    """The complement's subspace report, whose deepest subspace colors G,
-    and its maximum clique, alpha of G."""
-    comp = G.complement()
-    comp_rep = subspace_cliques(comp)
-    return comp_rep, max_clique(comp, budget=budget, subspace_report=comp_rep)
+def _side(H: CayleyGraph, budget: Optional[int], report: Optional[SubspaceCliqueReport] = None
+          ) -> Tuple[SubspaceCliqueReport, CliqueOutcome]:
+    """H's subspace report (`report`, or a fresh one), then its maximum
+    clique searched from the report's witness."""
+    rep = report if report is not None else subspace_cliques(H)
+    return rep, max_clique(H, budget=budget, subspace_report=rep)
 
 
-def _sides_and_bracket(
-    G: CayleyGraph,
-    clique_budget: Optional[int],
-    chi_budget: Optional[int],
-    subspace_report: Optional[SubspaceCliqueReport] = None,
-) -> Tuple[SubspaceCliqueReport, CliqueOutcome, ChromaticBracket]:
+def _sides_and_bracket(G: CayleyGraph, clique_budget: Optional[int], chi_budget: Optional[int],
+                       subspace_report: Optional[SubspaceCliqueReport] = None,
+                       clique: Optional[CliqueOutcome] = None
+                       ) -> Tuple[Optional[SubspaceCliqueReport], CliqueOutcome, ChromaticBracket]:
     """G's subspace report, omega and chromatic bracket, with the two sides
     run at once.
 
-    The complement side (budget `chi_budget`) runs on a thread started and
-    joined here while the calling thread runs G's side (`clique_budget`).
-    Both spend their time in the C kernels, which ctypes calls with the GIL
+    The complement's side (budget `chi_budget`) runs on a thread started and
+    joined here while the calling thread runs G's side (`clique_budget`), or
+    takes a `clique` passed in, with `subspace_report` as its report.  Both
+    sides spend their time in the C kernels, which ctypes calls with the GIL
     released and which keep all their state per call, so the sides overlap
     on two cores and each search meets the nodes a serial run meets.  The
     thread lives for this call only: a pool kept across calls would be
@@ -402,15 +402,15 @@ def _sides_and_bracket(
 
     def run_complement() -> None:
         try:
-            comp_side.append(_complement_side(G, chi_budget))
+            comp_side.append(_side(G.complement(), chi_budget))
         except BaseException as exc:  # raised again in the calling thread
             comp_side.append(exc)
 
     worker = threading.Thread(target=run_complement, name="f2cayley-complement", daemon=True)
     worker.start()
     try:
-        rep = subspace_report if subspace_report is not None else subspace_cliques(G)
-        omega = max_clique(G, budget=clique_budget, subspace_report=rep)
+        rep, omega = ((subspace_report, clique) if clique is not None
+                      else _side(G, clique_budget, subspace_report))
     finally:
         worker.join()
     if isinstance(comp_side[0], BaseException):
@@ -438,21 +438,21 @@ def chromatic_bracket(
     builds.  d' = 0 gives N singletons.  The bracket is exact when
     lower == upper.
 
-    Without `clique`, G's side (its subspace report, or `subspace_report`,
-    then omega) and the complement's side (its report, then alpha) run at
-    once, the complement's on a second thread; the answers and node counts
-    are those of running them one after the other.  A caller that holds G's
-    clique outcome can pass it in to skip G's side; its witness must be a
-    clique of G of its stated size, and the complement's side then runs on
-    the calling thread.
+    G's side (its subspace report, or `subspace_report`, then omega) and
+    the complement's side (its report, then alpha) run at once, the
+    complement's on a second thread, with the answers and node counts of a
+    serial run.  A `clique` passed in stands in for G's side; the
+    complement's side still runs on the second thread.  Before either side
+    starts, `clique` must be a clique of G of its stated size, and the
+    witness of `subspace_report` a clique of G.
     """
     _require_budget(budget)
-    if clique is None:
-        return _sides_and_bracket(G, budget, budget, subspace_report)[2]
-    if (clique.witness.n != G.n or clique.witness.size != clique.size
-            or not verify_clique(G, clique.witness)):
+    if subspace_report is not None:
+        _report_seed(G, subspace_report)
+    if clique is not None and (clique.witness.n != G.n or clique.witness.size != clique.size
+                               or not verify_clique(G, clique.witness)):
         raise PreconditionError("clique outcome is not a clique of this graph of its stated size")
-    return _bracket(G, clique, *_complement_side(G, budget), budget)
+    return _sides_and_bracket(G, budget, budget, subspace_report, clique)[2]
 
 
 def _bracket(G: CayleyGraph, clique: CliqueOutcome, comp_rep: SubspaceCliqueReport,

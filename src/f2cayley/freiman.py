@@ -262,13 +262,16 @@ def census_skl(n: int, k: int, budget: int = 10**8) -> SklCensus:
     When 2k > N nothing is enumerated: for g != 0, |X| + |X + g| > N, so X
     meets X + g, some x != y in X have x + y = g, and every k-set has
     |X plus-distinct X| = N - 1.
-    Refuses if C(2^n, k) exceeds the budget.
+    Refuses if C(2^n, k) exceeds the budget, first by its lower bounds N and
+    2^min(k, N - k) for 0 < k < N, before building N or C(N, k).
     """
-    if n < 0:
-        raise PreconditionError(f"census_skl needs n >= 0, got {n}")
+    if n < 0 or k < 1 or (k - 1).bit_length() > n:
+        raise PreconditionError(f"census_skl needs n >= 0 and 1 <= k <= 2^n, got n = {n}")
+    if k.bit_length() <= n and n >= budget.bit_length():
+        raise BudgetExceededError(f"C(2^{n}, k) >= 2^{n} exceeds budget {budget}")
     N = 1 << n
-    if not 1 <= k <= N:
-        raise PreconditionError(f"census_skl needs 1 <= k <= 2^{n}")
+    if min(k, N - k) >= budget.bit_length():
+        raise BudgetExceededError(f"C(2^{n}, {k}) >= 2^{min(k, N - k)} exceeds budget {budget}")
     total = math.comb(N, k)
     if total > budget:
         raise BudgetExceededError(f"C({N}, {k}) = {total} exceeds budget {budget}")

@@ -171,10 +171,6 @@ class Subspace:
             if b & (pivots ^ pivot):
                 raise PreconditionError("basis is not reduced (pivot column not cleared)")
 
-    @classmethod
-    def from_vectors(cls, n: int, vectors: Iterable[int]) -> "Subspace":
-        return cls(n, rref(vectors))
-
     @property
     def dim(self) -> int:
         return len(self.basis)

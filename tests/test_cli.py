@@ -185,8 +185,11 @@ def test_negative_budget_exit_code(capsys):
 def test_budget_exit_code(capsys):
     assert main(["skl", "--n", "13", "--k", "10"]) == 3
     assert main(["moments", "--n", "64", "--m", "21"]) == 3
+    # refused before 2^n, whose 6,021 digits no int-to-str conversion takes,
+    # is built or printed
+    assert main(["skl", "--n", "20000", "--k", "1"]) == 3
     out = capsys.readouterr()
-    assert out.out == "" and out.err.count("budget refused:") == 2
+    assert out.out == "" and out.err.count("budget refused:") == 3
 
 
 def test_argparse_rejects_unknown_command():

@@ -297,7 +297,7 @@ def bron_kerbosch_max(adj, N):
 # keeps several copies in the search; these came from 8000 random generator
 # sets at n = 4..6.
 PAIRING_HARD_CASES = ((5, 0xB6BFFFFC), (6, 0xEECA3877E968357C), (6, 0xFF554FCEF365BED0))
-NO_SEED = SubspaceCliqueReport(counts={0: 1}, max_dim=0, complete=True, witness_basis=())
+NO_SEED = SubspaceCliqueReport(counts={0: 1}, max_dim=0, witness_basis=())
 
 
 def test_max_clique_from_bare_incumbent_on_hard_cases():
@@ -668,8 +668,11 @@ def test_a_failing_side_raises_after_both_are_joined(monkeypatch):
             return kernel(n, gens, k, seed, budget, witness, out)
         return wrapped
 
+    omega, br = max_clique(G), chromatic_bracket(G)
     before = threading.active_count()
-    # the graph side's error comes first, as it would run first serially
+    # the graph side's error comes first, as it would run first serially; a
+    # clique passed in stands in for the graph side, so only the
+    # complement's error is left
     for sides, error in ((("complement",), MemoryError), (("graph",), InvariantError),
                          (("graph", "complement"), InvariantError)):
         with monkeypatch.context() as m:
@@ -679,26 +682,45 @@ def test_a_failing_side_raises_after_both_are_joined(monkeypatch):
             with pytest.raises(error):
                 chromatic_bracket(G)
             assert not _complement_threads() and threading.active_count() == before
-    assert chromatic_bracket(G) == chromatic_bracket(G, clique=max_clique(G))
+            if "complement" in sides:
+                with pytest.raises(MemoryError):
+                    chromatic_bracket(G, clique=omega)
+            else:
+                assert chromatic_bracket(G, clique=omega) == br
+            assert not _complement_threads() and threading.active_count() == before
+    assert chromatic_bracket(G) == chromatic_bracket(G, clique=omega) == br
+
+
+def _serial_sides(G, clique_budget, chi_budget):
+    """G's report and omega, then the bracket from the complement's report
+    and alpha, each side run on this thread by the public calls."""
+    rep = subspace_cliques(G)
+    omega = max_clique(G, budget=clique_budget, subspace_report=rep)
+    comp = G.complement()
+    comp_rep = subspace_cliques(comp)
+    alpha = max_clique(comp, budget=chi_budget, subspace_report=comp_rep)
+    return rep, omega, cliques._bracket(G, omega, comp_rep, alpha, chi_budget)
 
 
 def test_overlapped_sides_give_the_serial_answers():
-    # chromatic_bracket(G) runs omega and alpha at once; passing the clique
-    # runs them one after the other.  run_trial routes each budget to its side.
+    # chromatic_bracket runs omega and alpha at once, with or without a
+    # clique passed in; run_trial routes each budget to its side.  Both give
+    # what the sides give run one after the other.
     for n in range(2, 11):
         for i in range(3):
             seed = derive_seed(11, i)
             G = sample_cayley(n, seed)
             for b in (None, 1, 50):
-                serial = chromatic_bracket(G, budget=b, clique=max_clique(G, budget=b))
+                _, omega, serial = _serial_sides(G, b, b)
                 assert chromatic_bracket(G, budget=b) == serial, (n, i, b)
+                assert chromatic_bracket(G, budget=b, clique=omega) == serial, (n, i, b)
             for cb, xb in ((None, 1), (1, 50), (50, None)):
-                omega = max_clique(G, budget=cb)
-                br = chromatic_bracket(G, budget=xb, clique=omega)
+                rep, omega, br = _serial_sides(G, cb, xb)
                 rec = run_trial(n, seed, clique_budget=cb, chi_budget=xb)
-                assert ((rec.omega_size, rec.omega_optimal, rec.chi_lower, rec.chi_upper,
-                         rec.nodes) == (omega.size, omega.optimal, br.lower, br.upper,
-                                        br.nodes)), (n, i, cb, xb)
+                assert ((rec.omega_size, rec.omega_optimal, rec.max_subspace_dim,
+                         rec.m_counts, rec.chi_lower, rec.chi_upper, rec.nodes)
+                        == (omega.size, omega.optimal, rep.max_dim, rep.counts,
+                            br.lower, br.upper, br.nodes)), (n, i, cb, xb)
     assert not _complement_threads()
 
 
@@ -805,6 +827,10 @@ def test_chromatic_bracket_refuses_inputs_of_another_graph():
         chromatic_bracket(G2, subspace_report=rep)
     with pytest.raises(PreconditionError, match="subspace report"):
         max_clique(G2, subspace_report=rep)
+    # a clique passed in stands in for G2's side, but the report is still
+    # checked against G2
+    with pytest.raises(PreconditionError, match="subspace report"):
+        chromatic_bracket(G2, subspace_report=rep, clique=max_clique(G2))
 
 
 def test_verify_helpers_reject_bad_witnesses():

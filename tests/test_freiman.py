@@ -378,6 +378,26 @@ def test_census_budget_boundary():
         census_skl(4, 3, budget=total - 1)
 
 
+def test_census_refuses_by_lower_bounds_before_building_n():
+    # C(2^n, k) >= 2^n for 1 <= k < 2^n and >= 2^min(k, 2^n - k): these
+    # refuse before N = 2^n (125 MB at n = 10^9) or C(N, k) is built
+    t0 = time.perf_counter()
+    for n, k in ((10**9, 3), (20000, 1), (14, 8000), (27, 2**27 - 1)):
+        with pytest.raises(BudgetExceededError):
+            census_skl(n, k)
+    assert time.perf_counter() - t0 < 1.0
+    # each bound refuses exactly when it exceeds the budget
+    with pytest.raises(BudgetExceededError, match=r"2\^4 exceeds"):
+        census_skl(4, 1, budget=15)
+    assert census_skl(4, 1, budget=16).total == 16
+    with pytest.raises(BudgetExceededError, match=r"2\^7 exceeds"):
+        census_skl(4, 9, budget=127)
+    for n, k in ((3, 0), (3, 9), (0, 2)):
+        with pytest.raises(PreconditionError, match="1 <= k <= 2"):
+            census_skl(n, k)
+    assert census_skl(3, 8).counts == {7: 1} and census_skl(0, 1).counts == {0: 1}
+
+
 def test_census_csv_rows():
     rows = census_skl(2, 2).csv_rows()
     assert rows[0] == "n,k,l,count,union_bound_term"

@@ -61,7 +61,7 @@ def reference_sym(S):
     s0 = (S.mask & -S.mask).bit_length() - 1
     found = [g for g in bits_of(xor_shift(S.mask, s0, S.n))
              if xor_shift(S.mask, g, S.n) == S.mask]
-    return Subspace.from_vectors(S.n, found)
+    return Subspace(S.n, gf2.rref(found))
 
 
 def _random_set(rng, n):
