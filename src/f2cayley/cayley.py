@@ -23,9 +23,9 @@ __all__ = ["CayleyGraph", "sample_cayley"]
 MIN_N, MAX_N = 2, 13
 
 
-@dataclass
+@dataclass(frozen=True)
 class CayleyGraph:
-    """Immutable by convention."""
+    """Frozen: a trial reads one graph from two threads."""
 
     n: int
     generators: ElemSet
@@ -37,7 +37,7 @@ class CayleyGraph:
         if self.generators.n != self.n:
             raise PreconditionError("generator set lives in the wrong ambient dimension")
         if self.generators.mask & 1:
-            self.generators = ElemSet(self.n, self.generators.mask & ~1)
+            object.__setattr__(self, "generators", ElemSet(self.n, self.generators.mask & ~1))
 
     def complement(self) -> "CayleyGraph":
         full = ((1 << (1 << self.n)) - 1) & ~1

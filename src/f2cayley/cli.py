@@ -12,9 +12,9 @@ import csv
 import io
 import json
 import sys
-from contextlib import contextmanager
+from decimal import Decimal
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from .cayley import CayleyGraph, sample_cayley
 from .cliques import chromatic_bracket, max_clique
@@ -22,7 +22,7 @@ from .errors import BudgetExceededError, PreconditionError
 from .experiments import ExperimentConfig, classify_n, density_measure, run_experiment
 from .freiman import census_skl, freiman_dimension, tail_exponent
 from .gf2 import ElemSet
-from .moments import moment_csv_header, moment_csv_row, moment_report
+from .moments import moment_report
 
 __all__ = ["main", "build_parser"]
 
@@ -86,52 +86,28 @@ def cmd_chi(args) -> Dict:
     }
 
 
-@contextmanager
-def _int_str_digits(values: List[Fraction]) -> Iterator[None]:
-    """Let str() print every numerator and denominator in `values`.
-
-    Exact moments reach thousands of digits (Var M at n = 64, m = 14 has a
-    9,864-digit denominator), past the int-to-str limit of Python >= 3.11.
-    The limit is raised only as far as these values need, and put back.
-    """
-    old = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    bits = max(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in values)
-    need = bits * 30103 // 100000 + 1  # >= the decimal digits of a bits-bit int
-    if old == 0 or need <= old:
-        yield
-        return
-    sys.set_int_max_str_digits(need)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
 def cmd_moments(args) -> Dict:
     rep = moment_report(args.n, args.m)
-    fields = [rep.e_m, rep.var_m, rep.paper_e_lb, rep.paper_var_ub, rep.cheb, rep.cheb_ub]
-    with _int_str_digits(fields):
-        if args.csv:
-            _write_file(args.csv, moment_csv_header() + "\n" + moment_csv_row(rep) + "\n")
-        return {
-            "n": rep.n, "m": rep.m,
-            "E_M": str(rep.e_m), "Var_M": str(rep.var_m),
-            "paper_E_lb": str(rep.paper_e_lb), "paper_Var_ub": str(rep.paper_var_ub),
-            "cheb": str(rep.cheb), "cheb_ub": str(rep.cheb_ub),
-            "holds_E": rep.holds_e, "holds_Var": rep.holds_var,
-            "holds_cheb": rep.holds_cheb,
-        }
+    result = {
+        "n": rep.n, "m": rep.m, "E_M": rep.e_m, "Var_M": rep.var_m,
+        "paper_E_lb": rep.paper_e_lb, "paper_Var_ub": rep.paper_var_ub,
+        "cheb": rep.cheb, "cheb_ub": rep.cheb_ub,
+        "holds_E": rep.holds_e, "holds_Var": rep.holds_var,
+        "holds_cheb": rep.holds_cheb,
+    }
+    if args.csv:
+        _write_file(args.csv, _render(result, "csv"))
+    return result
 
 
 def cmd_skl(args) -> Dict:
     c = census_skl(args.n, args.k)
+    counts = dict(sorted(c.counts.items()))
     if args.csv:
-        _write_file(args.csv, "\n".join(c.csv_rows()) + "\n")
-    return {
-        "n": c.n, "k": c.k, "total": c.total,
-        "union_bound": str(c.union_bound),
-        "counts": {str(l): c.counts[l] for l in sorted(c.counts)},
-    }
+        _write_file(args.csv, _csv_text(
+            [("n", "k", "l", "count", "union_bound_term")]
+            + [(c.n, c.k, l, cnt, Fraction(cnt, 1 << l)) for l, cnt in counts.items()]))
+    return {"n": c.n, "k": c.k, "total": c.total, "union_bound": c.union_bound, "counts": counts}
 
 
 def cmd_freiman_dim(args) -> Dict:
@@ -139,8 +115,6 @@ def cmd_freiman_dim(args) -> Dict:
         elems = [int(s, 16) for s in args.set]
     except ValueError as exc:
         raise PreconditionError(f"--set takes hex elements: {exc}") from exc
-    if not elems:
-        raise PreconditionError("--set needs at least one element")
     n = args.n if args.n is not None else max(1, max(e.bit_length() for e in elems))
     X = ElemSet.from_elements(n, elems)
     res = freiman_dimension(X)
@@ -161,7 +135,7 @@ def cmd_density(args) -> Dict:
     return {
         "n_max": d.n_max, "eps": d.eps, "threshold": d.threshold,
         "count": d.count, "total": d.total,
-        "fraction": str(d.fraction), "value": float(d.fraction),
+        "fraction": d.fraction, "value": float(d.fraction),
     }
 
 
@@ -252,9 +226,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _exact(q: Fraction) -> str:
+    """str(q), digit for digit, printed through decimal: Decimal(int) is
+    exact and its str() is not bound by the interpreter's int-to-str digit
+    limit, which the thousands of digits of Var M or of 1 / 2^l exceed."""
+    num = str(Decimal(q.numerator))
+    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+
+
 def _csv_cell(v) -> str:
     if v is None:
         return ""
+    if isinstance(v, Fraction):
+        return _exact(v)
     if isinstance(v, list):
         return " ".join(str(x) for x in v)
     if isinstance(v, dict):
@@ -262,14 +246,19 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _render(result: Dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(result)
+def _csv_text(rows) -> str:
+    """CSV lines, each ending in a newline; rows[0] is the header."""
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(list(result))
-    w.writerow([_csv_cell(v) for v in result.values()])
-    return buf.getvalue().rstrip("\n")
+    csv.writer(buf, lineterminator="\n").writerows([_csv_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def _render(result: Dict, fmt: str) -> str:
+    """A command's report as newline-terminated text: one JSON object, or a
+    CSV header and row.  Fractions print exactly."""
+    if fmt == "json":
+        return json.dumps(result, default=_exact) + "\n"
+    return _csv_text([list(result), list(result.values())])
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -286,7 +275,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget refused: {exc}", file=sys.stderr)
         return 3
-    print(_render(result, args.format))
+    sys.stdout.write(_render(result, args.format))
     return 0
 
 

@@ -219,13 +219,6 @@ class SklCensus:
     total: int
     union_bound: Fraction = field(compare=False)
 
-    def csv_rows(self) -> List[str]:
-        rows = ["n,k,l,count,union_bound_term"]
-        for l in sorted(self.counts):
-            term = Fraction(self.counts[l], 1 << l)
-            rows.append(f"{self.n},{self.k},{l},{self.counts[l]},{term}")
-        return rows
-
 
 _CENSUS_BLOCK_BYTES = 1 << 24
 

@@ -22,8 +22,6 @@ __all__ = [
     "variance_M",
     "MomentReport",
     "moment_report",
-    "moment_csv_header",
-    "moment_csv_row",
     "EqknCheck",
     "eqkn_check",
 ]
@@ -31,8 +29,8 @@ __all__ = [
 
 # The largest m whose moments are computed.  E M and Var M are numerators
 # over 2^(2^m - 1) and 2^(2^(m+1) - 2), so each step of m doubles their bits:
-# moment_report(64, 20) took 7 s on a 2-core host (`f2cayley moments` 27 s,
-# most of it printing), and m = 30 would need integers of 2^31 bits.
+# moment_report(64, 20) took 7 s on a 2-core host (`f2cayley moments` 28 s,
+# most of it printing the digits), and m = 30 would need integers of 2^31 bits.
 MAX_M = 20
 
 
@@ -136,17 +134,6 @@ def moment_report(n: int, m: int) -> MomentReport:
         n=n, m=m, e_m=e, var_m=v, paper_e_lb=e_lb, paper_var_ub=var_ub,
         cheb=cheb, cheb_ub=cheb_ub,
         holds_e=e >= e_lb, holds_var=v <= var_ub, holds_cheb=cheb <= cheb_ub,
-    )
-
-
-def moment_csv_header() -> str:
-    return "n,m,E_M,Var_M,paper_E_lb,paper_Var_ub,cheb,cheb_ub,holds_E,holds_Var,holds_cheb"
-
-
-def moment_csv_row(r: MomentReport) -> str:
-    return (
-        f"{r.n},{r.m},{r.e_m},{r.var_m},{r.paper_e_lb},{r.paper_var_ub},"
-        f"{r.cheb},{r.cheb_ub},{r.holds_e},{r.holds_var},{r.holds_cheb}"
     )
 
 

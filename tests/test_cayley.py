@@ -1,4 +1,6 @@
 """Graph sampling, serialization, and the counter-based coin stream."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,13 @@ def test_generators_exclude_zero_and_drive_edges():
     assert CayleyGraph(5, ElemSet(5, G.generators.mask | 1)).generators == G.generators
     for x in range(32):
         assert sum((x ^ y) in G.generators for y in range(32)) == len(G.generators)
+
+
+def test_graph_is_frozen():
+    G = sample_cayley(4, 5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        G.generators = ElemSet(4, 0)
+    assert CayleyGraph(4, ElemSet(4, 0b1011)).generators == ElemSet(4, 0b1010)
 
 
 def test_complement_flips_every_pair():

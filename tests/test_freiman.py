@@ -339,6 +339,52 @@ def test_census_rejects_a_miscount(monkeypatch, n, k, message):
         census_skl(n, k)
 
 
+def record_blocks(monkeypatch):
+    """Make census_skl log each block it expands as (prefix, a, b)."""
+    block, seen = freiman._census_block, []
+
+    def recording(hist, prefix, a, b, *args):
+        seen.append((prefix, a, b))
+        block(hist, prefix, a, b, *args)
+
+    monkeypatch.setattr(freiman, "_census_block", recording)
+    return seen
+
+
+def test_census_splits_blocks_past_the_cap(monkeypatch):
+    # With 512 bytes a block holds two or three sets, so a range is halved
+    # and a one-value range joins the prefix; every enumerated case of the
+    # oracle must come out the same.
+    seen = record_blocks(monkeypatch)
+    monkeypatch.setattr(freiman, "_CENSUS_BLOCK_BYTES", 1 << 9)
+    extended = halved = False
+    for n in range(1, 5):
+        N = 1 << n
+        for k in range(1, N // 2 + 1):
+            seen.clear()
+            assert census_skl(n, k).counts == oracle_census(n, k), (n, k)
+            t = min(k, 3)
+            for prefix, a, b in seen:
+                if len(prefix) >= t:  # 0, ..., t - 2 plus at least one value
+                    extended = True
+                    halved |= (a, b) != (prefix[-1] + 1, N - k + len(prefix) + 1)
+    assert extended and halved
+
+
+def test_census_blocks_agree_with_one_block(monkeypatch):
+    # C(29, 5) = 118,755 sets through 0, 1, 2 exceed the default cap of
+    # 2^24 / (8 (16 + 8 + 1)) = 83,886, so (5, 8) splits unless the cap grows
+    seen = record_blocks(monkeypatch)
+    split = census_skl(5, 8)
+    assert len(seen) > 1
+    seen.clear()
+    monkeypatch.setattr(freiman, "_CENSUS_BLOCK_BYTES", 1 << 30)
+    whole = census_skl(5, 8)
+    assert len(seen) == 1
+    assert (split.counts, split.total, split.union_bound) == (
+        whole.counts, whole.total, whole.union_bound)
+
+
 def test_census_closed_form_at_k4():
     # a 4-set has 3 distinct pair sums iff its elements XOR to 0, else 6
     for n in range(2, 7):
@@ -396,12 +442,6 @@ def test_census_refuses_by_lower_bounds_before_building_n():
         with pytest.raises(PreconditionError, match="1 <= k <= 2"):
             census_skl(n, k)
     assert census_skl(3, 8).counts == {7: 1} and census_skl(0, 1).counts == {0: 1}
-
-
-def test_census_csv_rows():
-    rows = census_skl(2, 2).csv_rows()
-    assert rows[0] == "n,k,l,count,union_bound_term"
-    assert rows[1] == "2,2,1,6,3"
 
 
 def test_tail_exponent_signs():

@@ -20,7 +20,7 @@ from f2cayley import (
     subspace_members,
     variance_M,
 )
-from f2cayley.moments import MomentReport, moment_csv_header, moment_csv_row
+from f2cayley.moments import MomentReport
 
 
 def _pow2(e):
@@ -150,12 +150,6 @@ def test_moments_past_the_largest_m_are_refused_at_once():
     with pytest.raises(PreconditionError):
         moment_report(3, 25)
     assert expected_M(20, 20) == Fraction(1, 1 << ((1 << 20) - 1))  # m = 20 is computed
-
-
-def test_moment_csv_format():
-    assert moment_csv_header().startswith("n,m,E_M,Var_M")
-    row = moment_csv_row(moment_report(6, 2))
-    assert row == "6,2,651/8,63147/64,16,8704,97/651,64,True,True,True"
 
 
 def test_eqkn_values():
