@@ -27,6 +27,7 @@ from f2cayley import (
     universal_freiman_rank,
 )
 from f2cayley import freiman
+from f2cayley.cli import main
 
 SQUARE = ElemSet.from_elements(2, [0b00, 0b01, 0b10, 0b11])
 
@@ -442,6 +443,15 @@ def test_census_refuses_by_lower_bounds_before_building_n():
         with pytest.raises(PreconditionError, match="1 <= k <= 2"):
             census_skl(n, k)
     assert census_skl(3, 8).counts == {7: 1} and census_skl(0, 1).counts == {0: 1}
+
+
+def test_census_csv_rows(tmp_path):
+    # the skl --csv file: a header and one row per l, term count / 2^l
+    path = tmp_path / "c.csv"
+    assert main(["skl", "--n", "2", "--k", "2", "--csv", str(path)]) == 0
+    rows = path.read_text().splitlines()
+    assert rows[0] == "n,k,l,count,union_bound_term"
+    assert rows[1] == "2,2,1,6,3"
 
 
 def test_tail_exponent_signs():

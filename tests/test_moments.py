@@ -20,6 +20,7 @@ from f2cayley import (
     subspace_members,
     variance_M,
 )
+from f2cayley.cli import main
 from f2cayley.moments import MomentReport
 
 
@@ -150,6 +151,15 @@ def test_moments_past_the_largest_m_are_refused_at_once():
     with pytest.raises(PreconditionError):
         moment_report(3, 25)
     assert expected_M(20, 20) == Fraction(1, 1 << ((1 << 20) - 1))  # m = 20 is computed
+
+
+def test_moment_csv_format(tmp_path):
+    # the moments --csv file: a header and the row of moment_report(6, 2)
+    path = tmp_path / "m.csv"
+    assert main(["moments", "--n", "6", "--m", "2", "--csv", str(path)]) == 0
+    header, row = path.read_text().splitlines()
+    assert header.startswith("n,m,E_M,Var_M")
+    assert row == "6,2,651/8,63147/64,16,8704,97/651,64,True,True,True"
 
 
 def test_eqkn_values():
