@@ -12,8 +12,9 @@ import csv
 import io
 import json
 import sys
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional
 
 from .cayley import CayleyGraph, sample_cayley
@@ -226,12 +227,39 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_SPLIT_BITS = 4096  # below this many bits, Decimal(int) is converted directly
+
+
+def _decimal(x: int) -> Decimal:
+    """Decimal(x), in time subquadratic in the digits.
+
+    Decimal(int) is quadratic on CPython 3.11.  Here x is split into halves
+    of w // 2 and w - w // 2 bits, converted separately, and joined as
+    hi * 2^(w // 2) + lo in a context of the largest precision that traps
+    Inexact, so every step is exact and the multiplications are libmpdec's
+    fast ones.  Each level of the split has at most two widths, so the
+    powers of two are few and cached for the call.
+    """
+    ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+    power = lru_cache(maxsize=None)(lambda w: ctx.power(2, w))
+
+    def convert(v: int, w: int) -> Decimal:  # 0 <= v < 2^w
+        if w <= _SPLIT_BITS:
+            return Decimal(v)
+        h = w // 2
+        hi = v >> h
+        return ctx.add(ctx.multiply(convert(hi, w - h), power(h)), convert(v - (hi << h), h))
+
+    d = convert(abs(x), abs(x).bit_length())
+    return d.copy_negate() if x < 0 else d
+
+
 def _exact(q: Fraction) -> str:
-    """str(q), digit for digit, printed through decimal: Decimal(int) is
+    """str(q), digit for digit, printed through decimal: _decimal(int) is
     exact and its str() is not bound by the interpreter's int-to-str digit
     limit, which the thousands of digits of Var M or of 1 / 2^l exceed."""
-    num = str(Decimal(q.numerator))
-    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+    num = str(_decimal(q.numerator))
+    return num if q.denominator == 1 else f"{num}/{_decimal(q.denominator)}"
 
 
 def _csv_cell(v) -> str:

@@ -4,9 +4,10 @@ The classifier evaluates x = log2(n) + log2(log2(n)), predicts a clique
 number of 2^floor(x), and reports the fractional part that decides whether n
 sits in the density-1 set where that prediction is sharp.  Powers of two are
 handled by exact integer arithmetic; everything else goes through floats,
-with near-integer values re-decided exactly by interval arithmetic.  The
-density of that set up to n_max is counted exactly by bisecting for the n
-where the fractional part crosses its threshold.  The harness samples graphs, runs the clique and coloring
+with near-integer values re-decided exactly by directed rounding in the
+standard library's decimal module.  The density of that set up to n_max is
+counted exactly by bisecting for the n where the fractional part crosses
+its threshold.  The harness samples graphs, runs the clique and coloring
 machinery, and persists trial records whose bytes depend only on the config
 (timing excluded), regardless of worker count.
 """
@@ -18,15 +19,14 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Dict, List, Optional, Sequence, Tuple
-
-from mpmath.libmp import from_float, from_int, mpf_sign, mpi_add, mpi_div, mpi_log, mpi_sub
 
 from .cayley import MAX_N, MIN_N, sample_cayley
 from .cliques import _sides_and_bracket
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 from .rng import derive_seed
 
 __all__ = [
@@ -71,21 +71,44 @@ class NClass:
     in_t_eps: Optional[bool] = None
 
 
+@lru_cache(maxsize=64)
+def _scale(t: float, prec: int) -> Tuple[Decimal, Decimal]:
+    """Ends of an interval holding 2^t * ln(2) = exp(t * ln(2)) * ln(2), at
+    `prec` digits, for t >= 0 (the proof is in _reaches)."""
+    down = Context(prec=prec, rounding=ROUND_FLOOR)
+    up = Context(prec=prec, rounding=ROUND_CEILING)
+    r = down.ln(2)
+    lo, hi = down.next_minus(r), up.next_plus(r)
+    return (down.multiply(down.next_minus(down.exp(down.multiply(Decimal(t), lo))), lo),
+            up.multiply(up.next_plus(up.exp(up.multiply(Decimal(t), hi))), hi))
+
+
 def _reaches(n: int, m: int, t: float) -> bool:
     """Decide x(n) = log2(n) + log2(log2(n)) >= m + t exactly, for 0 <= t < 1.
 
-    The inequality is n * log2(n) >= 2^(m+t).  Equality needs n = 2^a and
+    x(n) = log2(n * log2(n)), so the inequality is n * log2(n) >= 2^(m+t),
+    that is n * ln(n) >= 2^m * (2^t * ln(2)).  Equality needs n = 2^a and
     t = 0 (see density_measure), and that case is decided on integers as
     a * 2^a >= 2^m.  Otherwise the float x(n) decides when it lies more than
     _TIE_EPS from m + t: for n <= 10^18, float(n) is off by a relative
     2^-53, libm's log2 by about one ulp of a value below 64, and the sum by
     one ulp of a value below 70, so the float x(n) errs by under 1e-13.
-    Closer calls are decided by outward-rounded mpmath intervals, at a
-    precision doubled until the interval for x(n) - (m + t) excludes 0;
-    the difference is nonzero, so this ends.  The precision is passed to
-    each interval operation, so no mpmath context setting changes.
-    classify_n calls this only where the float x(n) lies within _TIE_EPS
-    of m, so for its n, of any size, the intervals decide.
+
+    Closer calls are decided in decimal, at p = 20 digits and then at p
+    doubled until one side's lower end exceeds the other's upper end; the
+    two sides differ, so this ends.  Each end is proved:
+    - ln and exp are correctly rounded, so the true value lies within half
+      an ulp of the result r, and so between r.next_minus() and
+      r.next_plus();
+    - n, 2^m and the double t convert to Decimal exactly;
+    - no factor is negative (t >= 0), so a product's ends are the products
+      of the factors' ends, each rounded down (ROUND_FLOOR) for a lower end
+      and up (ROUND_CEILING) for an upper one;
+    - exp is increasing, so the ends of t * ln(2) bound exp(t * ln(2)).
+    Each operation is given its context, so no thread's decimal context is
+    read or changed.  classify_n calls this only where the float x(n) lies
+    within _TIE_EPS of m, so for its n, of any size, the decimal tier
+    decides.
     """
     if t == 0.0 and n & (n - 1) == 0:
         a = n.bit_length() - 1
@@ -94,17 +117,15 @@ def _reaches(n: int, m: int, t: float) -> bool:
     d = log2n + math.log2(log2n) - m - t
     if abs(d) > _TIE_EPS:
         return d > 0
-    two, nn = from_int(2), from_int(n)
-    y = mpi_add((from_int(m),) * 2, (from_float(t),) * 2)  # exact
-    prec = 64
+    prec = 20
     while True:
-        ln2 = mpi_log((two, two), prec)
-        log2n = mpi_div(mpi_log((nn, nn), prec), ln2, prec)
-        x = mpi_add(log2n, mpi_div(mpi_log(log2n, prec), ln2, prec), prec)
-        lo, hi = mpi_sub(x, y, prec)
-        if mpf_sign(lo) > 0:
+        down = Context(prec=prec, rounding=ROUND_FLOOR)
+        up = Context(prec=prec, rounding=ROUND_CEILING)
+        lo, hi = _scale(t, prec)
+        r = down.ln(n)
+        if down.multiply(down.next_minus(r), n) > up.multiply(hi, 1 << m):
             return True
-        if mpf_sign(hi) < 0:
+        if up.multiply(up.next_plus(r), n) < down.multiply(lo, 1 << m):
             return False
         prec *= 2
 
@@ -114,14 +135,10 @@ def classify_n(n: int, eps: Optional[float] = None) -> NClass:
         raise PreconditionError("classify_n needs n >= 2")
     if n & (n - 1) == 0:
         a = n.bit_length() - 1  # n = 2^a, so log2(n) = a exactly
-        if a & (a - 1) == 0:
-            m_pred = a + (a.bit_length() - 1)
-            frac, near = 0.0, False
-        else:
-            k = a.bit_length() - 1
-            m_pred = a + k  # floor(a + log2 a) = a + floor(log2 a)
-            frac = math.log2(a) - k
-            near = frac < _TIE_EPS or frac > 1 - _TIE_EPS
+        k = a.bit_length() - 1
+        m_pred = a + k  # floor(a + log2 a) = a + floor(log2 a)
+        frac = math.log2(a) - k
+        near = 0 < frac < _TIE_EPS or frac > 1 - _TIE_EPS
     else:
         x = math.log2(n) + math.log2(math.log2(n))
         m_pred = math.floor(x)
@@ -174,7 +191,7 @@ def density_measure(n_max: int, eps: float) -> DensityReport:
     first m that x(n_max) does not reach.  Each step of a bisection asks
     whether n * log2(n) >= 2^(m+t) and answers it exactly (_reaches): by
     the float x(n) when it is more than 1e-9 from m + t (its error is under
-    1e-13 for n <= 10^18), by mpmath intervals of doubling precision
+    1e-13 for n <= 10^18), by decimal intervals of doubling precision
     otherwise, and by integers where equality can hold.
 
     Equality n * log2(n) = 2^(m+t) holds only for n = 2^a with a a power of
@@ -354,7 +371,10 @@ def run_trial(
         predicted_omega=cls.predicted_omega,
         elapsed=time.perf_counter() - t0, nodes=chi.nodes,
     )
-    rec.validate()
+    try:
+        rec.validate()
+    except PreconditionError as exc:  # the trial's own result is broken: a bug
+        raise InvariantError(str(exc)) from exc
     return rec
 
 

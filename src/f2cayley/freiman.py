@@ -9,16 +9,18 @@ Freiman-isomorphic copy in F_2^r whose affine hull is all of F_2^r.
 r(X) is the affine rank of X in its universal ambient group, the free
 F_2-space on X modulo every relation a + b = c + d; `freiman_dimension`
 finds it, with a canonical witness image, by one Gaussian elimination.
+`tail_exponent` evaluates the census tail bound in the standard library's
+decimal module at 40 significant digits.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .errors import BudgetExceededError, InvariantError, PreconditionError
 from .gf2 import ElemSet, cosets, enumerate_subspaces, rref, span
@@ -355,18 +357,21 @@ def tail_exponent(n: int, k: int, l: int) -> TailExponent:
       large:  (r+1) n + 4 k log2 k - l
       small:  (r+1) n + k log2(e l / k) + k^(31/32) log2 e - l
     Asymptotically the large branch wins exactly when l >= k^(31/30).
-    Computed at 40 significant digits.
+    Computed in decimal at 40 significant digits, in a context local to
+    this call and thread.
     """
     if k < 2:
         raise PreconditionError("tail_exponent needs k >= 2")
     if l < 10 * k:
         raise PreconditionError(f"tail_exponent needs l >= 10k = {10 * k}, got {l}")
-    with mp.workdps(40):
-        log2k = mp.log(k, 2)
-        r1 = log2k + mpf(2) * (l + 1) / k + 1  # r + 1
-        base = mpf(n) * r1 - l
+    with localcontext(Context(prec=40)):
+        ln2 = Decimal(2).ln()
+        log2k = Decimal(k).ln() / ln2
+        r1 = log2k + Decimal(2 * (l + 1)) / k + 1  # r + 1
+        base = n * r1 - l
         large = base + 4 * k * log2k
-        small = base + k * mp.log(mp.e * l / k, 2) + mpf(k) ** (mpf(31) / 32) * mp.log(mp.e, 2)
+        small = (base + k * (Decimal(1).exp() * l / k).ln() / ln2
+                 + Decimal(k) ** (Decimal(31) / 32) / ln2)  # log2(e) = 1 / ln(2)
         if large <= small:
             return TailExponent(float(large), "large", float(large), float(small))
         return TailExponent(float(small), "small", float(large), float(small))

@@ -29,8 +29,8 @@ __all__ = [
 
 # The largest m whose moments are computed.  E M and Var M are numerators
 # over 2^(2^m - 1) and 2^(2^(m+1) - 2), so each step of m doubles their bits:
-# moment_report(64, 20) took 7 s on a 2-core host (`f2cayley moments` 28 s,
-# most of it printing the digits), and m = 30 would need integers of 2^31 bits.
+# moment_report(64, 20) took 6-7 s on a 2-core host (`f2cayley moments` 7-8 s
+# in all), and m = 30 would need integers of 2^31 bits.
 MAX_M = 20
 
 

@@ -1,13 +1,14 @@
 """Command-line interface: subcommands, formats, files, exit codes."""
 import hashlib
 import json
+import random
 import sys
 from decimal import Decimal
 
 import pytest
 
 from f2cayley import CayleyGraph, load_records
-from f2cayley.cli import main
+from f2cayley.cli import _decimal, main
 
 
 def run(capsys, *argv):
@@ -223,6 +224,16 @@ def test_skl_prints_a_union_bound_past_the_int_digit_limit(tmp_path, capsys, mon
     term = "1/" + str(Decimal(2**16369))
     assert json.loads(out)["union_bound"] == term
     assert path.read_text().splitlines()[-1] == "14,16383,16383,16384," + term
+
+
+def test_decimal_conversion_matches_decimal_of_int():
+    rng = random.Random(20)
+    xs = [0] + [rng.getrandbits(b) | 1 << (b - 1)
+                for b in (1, 2, 64, 4095, 4096, 4097, 8193, 65_537, 300_000)]
+    xs += [(1 << k) + d for k in (1, 4096, 4097, 100_000, 300_000) for d in (-1, 1)]
+    for x in xs:
+        for v in (x, -x):
+            assert str(_decimal(v)) == str(Decimal(v)), v.bit_length()
 
 
 def test_skl_counts_and_csv(tmp_path, capsys):

@@ -1,6 +1,11 @@
 """Concentration classifier, optimality sequences, and the trial harness."""
+import dataclasses
+import decimal
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -8,9 +13,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from mpmath import iv, mp
+from mpmath.libmp import from_float, from_int, mpf_sign, mpi_add, mpi_div, mpi_log, mpi_sub
 
+import f2cayley
 from f2cayley import (
     ExperimentConfig,
+    InvariantError,
     PreconditionError,
     TrialRecord,
     classify_n,
@@ -22,7 +30,10 @@ from f2cayley import (
     seq_ni,
     seq_nj,
     summarize,
+    tail_exponent,
 )
+from f2cayley import experiments
+from f2cayley.cli import main
 from f2cayley.experiments import _reaches, summary_header
 
 
@@ -35,6 +46,37 @@ def reference_density_count(n_max, eps):
         x = np.log2(ns) + np.log2(np.log2(ns))
         count += int(((x - np.floor(x)) < threshold).sum())
     return count
+
+
+def reference_reaches(n, m, t):
+    """The former tie tier of _reaches, without its float tier: outward-rounded
+    mpmath intervals at a doubling binary precision, and integers at the
+    exact ties."""
+    if t == 0.0 and n & (n - 1) == 0:
+        a = n.bit_length() - 1
+        return a << a >= 1 << m
+    two, nn = from_int(2), from_int(n)
+    y = mpi_add((from_int(m),) * 2, (from_float(t),) * 2)  # exact
+    prec = 64
+    while True:
+        ln2 = mpi_log((two, two), prec)
+        log2n = mpi_div(mpi_log((nn, nn), prec), ln2, prec)
+        x = mpi_add(log2n, mpi_div(mpi_log(log2n, prec), ln2, prec), prec)
+        lo, hi = mpi_sub(x, y, prec)
+        if mpf_sign(lo) > 0:
+            return True
+        if mpf_sign(hi) < 0:
+            return False
+        prec *= 2
+
+
+def reference_power_of_two_class(a):
+    """classify_n's two former branches for n = 2^a: (m_pred, frac, near_tie)."""
+    if a & (a - 1) == 0:
+        return a + (a.bit_length() - 1), 0.0, False
+    k = a.bit_length() - 1
+    frac = math.log2(a) - k
+    return a + k, frac, frac < 1e-9 or frac > 1 - 1e-9
 
 
 def test_classify_integer_points():
@@ -94,6 +136,27 @@ def test_exact_floor_comparison():
             assert _reaches(n, m, 0.0) == oracle(n, m), (n, m)
 
 
+def test_decimal_tier_matches_the_mpmath_reference(monkeypatch):
+    thresholds = (0.0, 0.5, 1 - 0.5 / 24, 1 - 0.1 / 24, 1 - 0.999 / 24)
+    cases = []
+    for m in range(3, 61):  # the six n nearest each crossing
+        for t in thresholds:
+            cut = experiments._first_reaching(m, t, 2, 10 ** 19)
+            cases += [(n, m, t) for n in range(cut - 3, cut + 3)]
+    for n in list(range(2, 3000)) + [31_526_452_367, 10 ** 18 - 1, (1 << 61) + 1]:
+        x = math.floor(math.log2(n) + math.log2(math.log2(n)))
+        cases += [(n, m, t) for m in (x, x + 1) for t in (0.0, 1 - 0.5 / 24)]
+    monkeypatch.setattr(experiments, "_TIE_EPS", 10.0)  # no float tier: decimal decides
+    for n, m, t in cases:
+        assert _reaches(n, m, t) == reference_reaches(n, m, t), (n, m, t)
+
+
+def test_power_of_two_classes_match_the_two_former_branches():
+    for a in range(1, 5001):
+        c = classify_n(1 << a)
+        assert (c.m_pred, c.frac, c.near_tie) == reference_power_of_two_class(a), a
+
+
 def test_classify_large_near_tie_is_settled_fast():
     n = 31_526_452_367  # x(n) lies within 2.4e-11 of 40
     t0 = time.perf_counter()
@@ -149,11 +212,35 @@ def test_density_counts_exact_ties():
             assert _reaches(n, m, 0.0) and not _reaches(n - 1, m, 0.0)
 
 
+def decimal_state():
+    ctx = decimal.getcontext()
+    return ctx.prec, ctx.rounding, dict(ctx.traps), dict(ctx.flags)
+
+
 def test_density_leaves_mpmath_precision_alone():
-    before = (iv.prec, mp.prec)
+    before = (iv.prec, mp.prec, decimal_state())
     density_measure(10**18, 0.999)
     classify_n(31_526_452_367)
-    assert (iv.prec, mp.prec) == before
+    tail_exponent(1024, 10240, 102400)
+    assert (iv.prec, mp.prec, decimal_state()) == before
+    # nor do the answers depend on the calling thread's decimal context
+    expected = density_measure(10**7, 0.5).count, tail_exponent(4, 2, 20)
+    with decimal.localcontext(decimal.Context(prec=3, rounding=decimal.ROUND_UP)):
+        assert (density_measure(10**7, 0.5).count, tail_exponent(4, 2, 20)) == expected
+
+
+def test_exact_arithmetic_never_loads_mpmath():
+    code = ("import sys, f2cayley\n"
+            "f2cayley.density_measure(10**18, 0.5)\n"
+            "f2cayley.classify_n(31_526_452_367)\n"
+            "f2cayley.tail_exponent(1024, 10240, 102400)\n"
+            "print('mpmath' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(f2cayley.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_seq_ni_terms():
@@ -230,6 +317,22 @@ def test_malformed_record_lines_raise_precondition_error(tmp_path):
         path.write_text(line + "\n")
         with pytest.raises(PreconditionError, match="malformed"):
             load_records(str(path))
+
+
+def test_run_trial_reports_its_own_broken_record_as_a_fault(tmp_path, monkeypatch):
+    real = experiments._sides_and_bracket
+
+    def broken(*args):  # M_1 no longer counts the generators
+        rep, omega, chi = real(*args)
+        return dataclasses.replace(rep, counts={**rep.counts, 1: rep.counts[1] + 1}), omega, chi
+
+    monkeypatch.setattr(experiments, "_sides_and_bracket", broken)
+    with pytest.raises(InvariantError, match=r"m_counts\[1\]"):
+        run_trial(5, 3)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(ns=[5], trials=1, base_seed=3, out_dir=str(tmp_path))))
+    with pytest.raises(InvariantError):  # a fault, not the exit code 2 of bad input
+        main(["experiment", "--config", str(config)])
 
 
 def test_run_trial_is_deterministic_up_to_timing():

@@ -454,6 +454,31 @@ def test_census_csv_rows(tmp_path):
     assert rows[1] == "2,2,1,6,3"
 
 
+def reference_tail_exponent(n, k, l):
+    """The former tail_exponent, in mpmath at 40 digits:
+    (log2_bound, regime, log2_large, log2_small)."""
+    with mp.workdps(40):
+        log2k = mp.log(k, 2)
+        base = mpf(n) * (log2k + mpf(2) * (l + 1) / k + 1) - l
+        large = base + 4 * k * log2k
+        small = base + k * mp.log(mp.e * l / k, 2) + mpf(k) ** (mpf(31) / 32) * mp.log(mp.e, 2)
+        return (float(min(large, small)), "large" if large <= small else "small",
+                float(large), float(small))
+
+
+def test_tail_exponent_matches_the_mpmath_reference():
+    k = 10240  # criterion 14: n = 1024, k = n log2 n
+    grid = [(4, 2, 20), (1024, k, 10 * k), (1024, k, k * k), (1024, k, 1024 * k)]
+    rng = random.Random(14)
+    for _ in range(500):
+        k = rng.randint(2, 1 << rng.randint(1, 24))
+        grid.append((rng.randint(1, 1 << rng.randint(1, 40)), k, rng.randint(10 * k, 10 * k << 16)))
+    for n, k, l in grid:
+        t = tail_exponent(n, k, l)
+        assert (t.log2_bound, t.regime, t.log2_large, t.log2_small) == reference_tail_exponent(
+            n, k, l), (n, k, l)
+
+
 def test_tail_exponent_signs():
     small = tail_exponent(4, 2, 20)  # tiny scale: bounds are vacuous
     assert small.log2_bound > 0
