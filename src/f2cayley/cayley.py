@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import PreconditionError
 from .gf2 import ElemSet
 from .rng import coin_row
@@ -67,7 +65,5 @@ def sample_cayley(n: int, seed: int) -> CayleyGraph:
     """Draw A by one fair coin per nonzero element of F_2^n."""
     if not MIN_N <= n <= MAX_N:
         raise PreconditionError(f"sample_cayley needs {MIN_N} <= n <= {MAX_N}")
-    bits = coin_row(seed, 1 << n)
-    bits[0] = 0
-    mask = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-    return CayleyGraph(n, ElemSet(n, mask), seed=seed)
+    bits = coin_row(seed, 1 << n)  # CayleyGraph drops 0 from A
+    return CayleyGraph(n, ElemSet.from_member_table(n, bits), seed=seed)

@@ -86,7 +86,7 @@ def subspace_cliques(G: CayleyGraph) -> SubspaceCliqueReport:
     witness spans a subspace of dimension max_dim inside A + {0}.
     """
     n = G.n
-    gens = np.flatnonzero(_member_table(G.generators)).astype(np.int32)
+    gens = np.flatnonzero(G.generators.member_table()).astype(np.int32)
     counts = np.zeros(n + 1, dtype=np.int64)
     rows = np.zeros(n, dtype=np.int32)
     if _native.subspaces(n, gens, len(gens), counts, rows):
@@ -102,20 +102,14 @@ def subspace_cliques(G: CayleyGraph) -> SubspaceCliqueReport:
     return SubspaceCliqueReport(counts=found, max_dim=max_dim, witness_basis=witness.basis)
 
 
-def _member_table(S: ElemSet) -> np.ndarray:
-    """A 0/1 byte per element of F_2^n, 1 on S, from the bytes of S's mask;
-    np.flatnonzero lists S in time linear in 2^n, S.elements() quadratic."""
-    N = 1 << S.n
-    raw = np.frombuffer(S.mask.to_bytes((N + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:N]
-
-
 def _pair_sums(G: CayleyGraph, X: ElemSet, in_gens: bool) -> bool:
     """Whether every sum x + y of distinct x, y in X is a generator (in_gens)
     or none is (not in_gens); checked pair by pair, 256 rows of pairs at a
     time."""
+    if X.n != G.n:
+        raise PreconditionError("vertex set lives in the wrong ambient dimension")
     els = np.array(X.elements(), dtype=np.int64)
-    gens = _member_table(G.generators)
+    gens = G.generators.member_table()
     gens[0] = in_gens  # x + x on the diagonal passes
     for s in range(0, len(els), 256):
         block = gens[els[s:s + 256, None] ^ els[None, :]]
@@ -211,7 +205,7 @@ def max_clique(
     n = G.n
     seed = _report_seed(G, subspace_report if subspace_report is not None else subspace_cliques(G))
     seed_size = seed.size
-    gens = np.flatnonzero(_member_table(G.generators)).astype(np.int32)
+    gens = np.flatnonzero(G.generators.member_table()).astype(np.int32)
     elems = np.zeros(1 << n, dtype=np.int32)
     out = np.zeros(3, dtype=np.int64)
     limit = _NODES_MAX if budget is None else min(int(budget), _NODES_MAX)
@@ -277,7 +271,7 @@ def verify_coloring(G: CayleyGraph, coloring: Coloring) -> bool:
         return False
     x = np.arange(N)
     return not any((colors[x ^ a] == colors).any()
-                   for a in np.flatnonzero(_member_table(G.generators)))
+                   for a in np.flatnonzero(G.generators.member_table()))
 
 
 def greedy_coloring(G: CayleyGraph) -> Coloring:
@@ -297,7 +291,7 @@ def greedy_coloring(G: CayleyGraph) -> Coloring:
     `chromatic_bracket` does not call it: it never uses fewer colors than
     the coset coloring over the complement's deepest subspace.
     """
-    table = _member_table(G.generators)
+    table = G.generators.member_table()
     colors = [0]
     for i in range(G.n):  # a ^ 2^i for the generators a with top bit i
         taken = {colors[u] for u in np.flatnonzero(table[1 << i:2 << i]).tolist()}
@@ -470,7 +464,7 @@ def _bracket(G: CayleyGraph, clique: CliqueOutcome, comp_rep: SubspaceCliqueRepo
     _require(lower <= upper, "chromatic bracket is inverted")
 
     if lower < upper and n <= 5:
-        gens = np.flatnonzero(_member_table(G.generators)).tolist()
+        gens = np.flatnonzero(G.generators.member_table()).tolist()
         exact, used = _exact_chromatic(gens, N, lower, upper, budget)
         nodes += used
         if exact is not None:

@@ -360,6 +360,8 @@ def tail_exponent(n: int, k: int, l: int) -> TailExponent:
     Computed in decimal at 40 significant digits, in a context local to
     this call and thread.
     """
+    if n < 1:
+        raise PreconditionError(f"tail_exponent needs n >= 1, got {n}")
     if k < 2:
         raise PreconditionError("tail_exponent needs k >= 2")
     if l < 10 * k:

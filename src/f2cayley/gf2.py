@@ -3,15 +3,21 @@
 Vectors are plain ints (< 2^n, addition is XOR).  Dense subsets of F_2^n are
 `ElemSet`s: a single int whose bit v records membership of the element v, so
 set algebra is int bitwise ops and translation x -> x + t is a bit
-permutation (`xor_shift`).  Subspaces are kept in reduced row echelon form
-with pivots strictly decreasing, which makes the basis tuple a canonical key:
-two Subspace values are equal iff they are the same subspace.
+permutation (`xor_shift`).  For numpy a set is a table of one 0/1 byte per
+element (`ElemSet.member_table`): bit v of the mask is bit v % 8 of byte v // 8,
+little-endian, and only this module converts between the two.  Subspaces are
+kept in reduced row echelon form with pivots strictly decreasing, which makes
+the basis tuple a canonical key: two Subspace values are equal iff they are
+the same subspace.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, List, Tuple
+
+import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
 
@@ -32,8 +38,6 @@ __all__ = [
 
 MAX_SET_DIM = 20
 
-_LEVELS: dict = {}  # n -> _levels(n)
-
 
 def bits_of(mask: int) -> Iterator[int]:
     """Yield the indices of set bits, ascending."""
@@ -43,17 +47,13 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= lsb
 
 
+@lru_cache(maxsize=None)
 def _levels(n: int) -> Tuple[Tuple[int, int], ...]:
     """Pairs (2^j, L_j) for j < n; L_j marks the positions p < 2^n whose
     j-th index bit is 0."""
-    levels = _LEVELS.get(n)
-    if levels is None:
-        full = (1 << (1 << n)) - 1
-        levels = tuple(
-            (1 << j, ((1 << (1 << j)) - 1) * (full // ((1 << (2 << j)) - 1))) for j in range(n)
-        )
-        _LEVELS[n] = levels
-    return levels
+    full = (1 << (1 << n)) - 1
+    return tuple((1 << j, ((1 << (1 << j)) - 1) * (full // ((1 << (2 << j)) - 1)))
+                 for j in range(n))
 
 
 def xor_shift(mask: int, t: int, n: int) -> int:
@@ -96,6 +96,11 @@ class ElemSet:
             mask |= 1 << v
         return cls(n, mask)
 
+    @classmethod
+    def from_member_table(cls, n: int, table: np.ndarray) -> "ElemSet":
+        """The set of the v with table[v] nonzero; the inverse of member_table."""
+        return cls(n, int.from_bytes(np.packbits(table, bitorder="little").tobytes(), "little"))
+
     @property
     def size(self) -> int:
         return self.mask.bit_count()
@@ -112,40 +117,45 @@ class ElemSet:
     def elements(self) -> List[int]:
         return list(bits_of(self.mask))
 
+    def member_table(self) -> np.ndarray:
+        """A fresh 0/1 uint8 array of length 2^n, 1 on the set; np.flatnonzero
+        of it lists the set in time linear in 2^n, elements() quadratic."""
+        N = 1 << self.n
+        raw = np.frombuffer(self.mask.to_bytes((N + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(raw, bitorder="little")[:N]
+
     def translate(self, t: int) -> "ElemSet":
+        """The translate X + t, for t an element of F_2^n (0 <= t < 2^n)."""
+        if not 0 <= t < (1 << self.n):
+            raise PreconditionError(f"translation by {t} outside F_2^{self.n}")
         return ElemSet(self.n, xor_shift(self.mask, t, self.n))
 
 
 def rref_insert(basis: Tuple[int, ...], v: int):
     """Insert v into an RREF basis; None if v is already in the span."""
-    for b in basis:
-        if v & (1 << (b.bit_length() - 1)):
-            v ^= b
-    if v == 0:
-        return None
-    pivot = 1 << (v.bit_length() - 1)
-    out = []
-    placed = False
-    for b in basis:
-        if b & pivot:
-            b ^= v
-        if not placed and b < pivot:
-            out.append(v)
-            placed = True
-        out.append(b)
-    if not placed:
-        out.append(v)
-    return tuple(out)
+    out = rref((*basis, v))
+    return out if len(out) > len(basis) else None
 
 
 def rref(vectors: Iterable[int]) -> Tuple[int, ...]:
-    """Canonical RREF basis (pivots strictly decreasing) of a span."""
-    basis: Tuple[int, ...] = ()
+    """Canonical RREF basis (pivots strictly decreasing) of a span.
+
+    Each vector is reduced by the rows so far; a nonzero remainder becomes a
+    row, and its pivot bit is cleared from the rows that hold it.  Distinct
+    pivots are distinct top bits, so one sort at the end orders the rows.
+    """
+    rows: List[int] = []
     for v in vectors:
-        nxt = rref_insert(basis, v)
-        if nxt is not None:
-            basis = nxt
-    return basis
+        for b in rows:
+            if v & (1 << (b.bit_length() - 1)):
+                v ^= b
+        if v:
+            pivot = 1 << (v.bit_length() - 1)
+            for i, b in enumerate(rows):
+                if b & pivot:
+                    rows[i] = b ^ v
+            rows.append(v)
+    return tuple(sorted(rows, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -257,9 +267,6 @@ def enumerate_subspaces(n: int, m: int, budget: int = 10**8) -> Iterator[Subspac
 
 
 def _gen_subspaces(n: int, m: int) -> Iterator[Subspace]:
-    if m == 0:
-        yield Subspace(n, ())
-        return
     for pivots_asc in combinations(range(n), m):
         pivots = tuple(reversed(pivots_asc))  # row i gets pivot pivots[i]
         pivot_mask = 0

@@ -313,6 +313,7 @@ def test_precondition_exit_code(capsys):
     assert main(["--threads", "0", "classify", "--n", "8"]) == 2
     assert main(["sample", "--n", "40", "--seed", "1"]) == 2
     assert main(["experiment", "--config", "/nonexistent.json"]) == 2
+    assert main(["bounds", "--n", "-5", "--k", "2", "--l", "20"]) == 2
     capsys.readouterr()
 
 

@@ -611,7 +611,7 @@ def test_invariant_checks_raise_on_broken_results(monkeypatch):
     # greedy coloring on a generator table with no edges; the check after it
     # reads the real table
     G = sample_cayley(5, 8)
-    real_table = cliques._member_table
+    real_table = ElemSet.member_table
     tables = []
 
     def empty_first_table(S):
@@ -619,7 +619,7 @@ def test_invariant_checks_raise_on_broken_results(monkeypatch):
         return real_table(S) * (len(tables) > 1)
 
     with monkeypatch.context() as m:
-        m.setattr(cliques, "_member_table", empty_first_table)
+        m.setattr(ElemSet, "member_table", empty_first_table)
         with pytest.raises(InvariantError, match="greedy coloring"):
             greedy_coloring(G)
     V = Subspace(5, subspace_cliques(G.complement()).witness_basis)
@@ -650,7 +650,7 @@ def test_a_failing_side_raises_after_both_are_joined(monkeypatch):
     # a serial run raises, and no thread outlives the call
     seed = derive_seed(11, 3)
     G = sample_cayley(7, seed)
-    gens_of = {side: np.flatnonzero(cliques._member_table(H.generators))
+    gens_of = {side: np.flatnonzero(H.generators.member_table())
                for side, H in (("graph", G), ("complement", G.complement()))}
     seed_size = 1 << subspace_cliques(G).max_dim
     fake = list(range(seed_size + 1))
@@ -839,3 +839,14 @@ def test_verify_helpers_reject_bad_witnesses():
     G = CayleyGraph(3, ElemSet.from_elements(3, [1]))
     assert not verify_clique(G, ElemSet.from_elements(3, [0, 2]))
     assert not verify_independent(G, ElemSet.from_elements(3, [0, 1]))
+
+
+def test_verify_helpers_refuse_a_set_from_another_space():
+    # a larger space indexed the generator table out of range; a smaller one
+    # gave an answer about some embedding of X into F_2^n
+    G = sample_cayley(4, 1)
+    for X in (ElemSet.from_elements(6, [40, 1]), ElemSet.from_elements(3, [0, 1]),
+              ElemSet.empty(2)):
+        for verify in (verify_clique, verify_independent):
+            with pytest.raises(PreconditionError, match="wrong ambient dimension"):
+                verify(G, X)

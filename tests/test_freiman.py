@@ -499,6 +499,10 @@ def test_tail_exponent_preconditions():
         tail_exponent(1024, 10240, 10239 * 10)  # l < 10k
     with pytest.raises(PreconditionError):
         tail_exponent(4, 1, 100)
+    for n in (0, -5):  # a vacuous ambient dimension, not a bound
+        with pytest.raises(PreconditionError, match="n >= 1"):
+            tail_exponent(n, 2, 20)
+    tail_exponent(1, 2, 20)
 
 
 def test_cover_probe_counts():

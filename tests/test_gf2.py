@@ -1,6 +1,10 @@
 """GF(2) bitset linear algebra: shifts, RREF bases, subspace enumeration."""
+import functools
+import itertools
+import operator
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +60,39 @@ def test_elemset_translate_is_involution():
         assert X.translate(t).size == X.size
 
 
+def test_elemset_translate_refuses_a_shift_outside_the_space():
+    X = ElemSet.from_elements(3, [1, 2])
+    assert X.translate(7).elements() == [5, 6]
+    for t in (8, 9, -1):  # 9 would otherwise act as the translate by 1
+        with pytest.raises(PreconditionError, match=f"translation by {t} outside F_2\\^3"):
+            X.translate(t)
+    assert ElemSet.full(0).translate(0) == ElemSet.full(0)
+
+
+def test_member_table_round_trips_and_keeps_the_byte_layout():
+    """Bit v of the mask is bit v % 8 of byte v // 8, little-endian."""
+    rng = random.Random(2213)
+    for n in range(0, 14):
+        N = 1 << n
+        masks = [0, 1, (1 << N) - 1, 1 << (N - 1)] + [rng.getrandbits(N) for _ in range(10)]
+        for mask in masks:
+            X = ElemSet(n, mask)
+            table = X.member_table()
+            raw = np.frombuffer(mask.to_bytes((N + 7) // 8, "little"), dtype=np.uint8)
+            assert table.dtype == np.uint8 and table.shape == (N,)
+            assert np.array_equal(table, np.unpackbits(raw, bitorder="little")[:N])
+            assert np.flatnonzero(table).tolist() == X.elements()
+            assert ElemSet.from_member_table(n, table) == X
+            assert ElemSet.from_member_table(n, table.astype(bool)) == X
+    table = ElemSet.full(3).member_table()
+    table[0] = 0  # a fresh, writable array: the set is untouched
+    assert ElemSet.full(3).member_table().all()
+    table = np.zeros(9, dtype=np.uint8)
+    table[8] = 1  # element 8 is outside F_2^3
+    with pytest.raises(PreconditionError, match="outside F_2\\^n"):
+        ElemSet.from_member_table(3, table)
+
+
 def test_elemset_rejects_out_of_range():
     with pytest.raises(PreconditionError):
         ElemSet.from_elements(2, [4])
@@ -78,6 +115,70 @@ def test_rref_canonical_under_row_operations(vectors, rng):
         if i != j:
             mixed[i] ^= mixed[j]
     assert rref(mixed) == base
+
+
+def reference_rref_insert(basis, v):
+    """The former rref_insert: reduce v, then merge it into the basis at its
+    pivot's place, clearing that pivot from the rows above."""
+    for b in basis:
+        if v & (1 << (b.bit_length() - 1)):
+            v ^= b
+    if v == 0:
+        return None
+    pivot = 1 << (v.bit_length() - 1)
+    out = []
+    placed = False
+    for b in basis:
+        if b & pivot:
+            b ^= v
+        if not placed and b < pivot:
+            out.append(v)
+            placed = True
+        out.append(b)
+    if not placed:
+        out.append(v)
+    return tuple(out)
+
+
+def reference_rref(vectors):
+    """The former rref: one merge insertion per vector."""
+    basis = ()
+    for v in vectors:
+        nxt = reference_rref_insert(basis, v)
+        if nxt is not None:
+            basis = nxt
+    return basis
+
+
+def _rref_cases():
+    """Seeded lists with zeros, repeats and dependent vectors, n up to 20."""
+    rng = random.Random(1122)
+    for _ in range(3000):
+        n = rng.randint(0, 20)
+        vecs = [rng.getrandbits(n) for _ in range(rng.randint(0, 40))]
+        if vecs and rng.random() < 0.5:  # sums of earlier vectors, and repeats
+            for _ in range(rng.randint(1, 10)):
+                picks = rng.sample(vecs, rng.randint(1, min(3, len(vecs))))
+                vecs.insert(rng.randint(0, len(vecs)), functools.reduce(operator.xor, picks))
+        if rng.random() < 0.3:  # a low-rank span: few bits set
+            low = rng.getrandbits(n)
+            vecs = [v & low for v in vecs]
+        if rng.random() < 0.2:
+            vecs += [0] * rng.randint(1, 3)
+            rng.shuffle(vecs)
+        yield vecs
+    for length in range(4):  # every ordered list of up to three vectors of F_2^3
+        yield from map(list, itertools.product(range(8), repeat=length))
+
+
+def test_rref_matches_the_merge_insert_reference():
+    for vecs in _rref_cases():
+        basis = rref(vecs)
+        assert basis == reference_rref(vecs), vecs
+        assert Subspace(max(basis, default=0).bit_length(), basis).basis == basis
+        if vecs:  # the last vector inserted into the basis of the others
+            head = rref(vecs[:-1])
+            assert rref_insert(head, vecs[-1]) == reference_rref_insert(head, vecs[-1])
 
 
 def test_rref_insert_dependent_vector_returns_none():
@@ -176,6 +277,7 @@ def test_enumerate_subspaces_counts_and_uniqueness():
         for m in range(0, n + 1):
             subs = list(enumerate_subspaces(n, m))
             assert len(subs) == gaussian_binomial(n, m)
+            assert m > 0 or subs == [Subspace(n, ())]
             assert len(set(subs)) == len(subs)
             for V in subs:
                 assert V.dim == m

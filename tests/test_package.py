@@ -31,3 +31,16 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_only_gf2_converts_set_masks_to_bytes():
+    # the byte layout of a set's mask is decided in one module; the oracles
+    # in tests/ and bench/ keep their own conversions on purpose
+    byte_calls = {"packbits", "unpackbits", "frombuffer", "to_bytes", "from_bytes"}
+    src = pathlib.Path(f2cayley.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py")) if path.name != "gf2.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) in byte_calls]
+    assert not found, f"mask-to-byte conversions outside gf2: {found}"
