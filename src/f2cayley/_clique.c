@@ -14,12 +14,16 @@
  * In the clique search, each graph searched, the root's on A and each root
  * branch's on P2, is labelled 0..k-1 in increasing order of its vertices and
  * held as k rows of nw = ceil(k / 64) words (BBMC, San Segundo et al. 2011).
- * A row is gathered a word at a time with no branch: the bit of w in row u
- * is the 0/1 byte dbits[lab[u] ^ lab[w]] of D's indicator, shifted into
- * place.  P2 itself is compacted the same way, its length advanced by a
- * product of two such bytes.  A node colors its candidates greedily, class
- * by class, and lists only the vertices of color at least
- * kmin = best - |R| + 1 (MCQ, Tomita & Kameda 2007).
+ * The root's graph is gathered once, a word at a time with no branch: the
+ * bit of w in row u is the 0/1 byte dbits[A[u] ^ A[w]] of A's indicator,
+ * shifted into place.  It is then kept as the running root adjacency over
+ * D, the root candidates not yet branched: once the branch on v is done,
+ * the pairs of D whose sum is v are cleared.  A root branch's P2 is D's mask
+ * and v's row, and each of its rows is that root row compressed by P2's
+ * mask, one 64-bit word at a time (Warren, Hacker's Delight, 7-4).  A node
+ * colors its candidates greedily, class by class, and lists only the
+ * vertices of color at least kmin = best - |R| + 1 (MCQ, Tomita & Kameda
+ * 2007).
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -34,7 +38,6 @@ typedef struct {
 } item;
 
 typedef struct {
-    uint8_t *dbits;     /* D: the root candidates not yet branched, by element */
     int32_t *idx;       /* element -> local index in the current branch */
     const int32_t *lab; /* local index -> element, increasing */
     int32_t *partner;   /* local index of w + v, for the branch on v */
@@ -52,24 +55,123 @@ typedef struct {
 
 #define BIT(v) ((word)1 << ((v) & 63))
 
-/* adj[u] has w iff lab[u] + lab[w] lies in D, written a whole row at a
- * time; the diagonal is clear since D never holds 0. */
-static void local_graph(search *s, const int32_t *lab, int32_t k)
+/* The root's graph into k rows of nw words: row u has w iff A[u] + A[w]
+ * lies in A, gathered a whole row at a time from A's indicator dbits; the
+ * diagonal is clear since A never holds 0. */
+static void root_graph(const uint8_t *dbits, const int32_t *A, int32_t k, int32_t nw, word *adj)
 {
-    const uint8_t *d = s->dbits;
-    int32_t nw = (k + 63) >> 6;
-    s->nw = nw;
     for (int32_t u = 0; u < k; u++) {
-        word *row = s->adj + (size_t)u * nw;
-        int32_t x = lab[u];
+        word *row = adj + (size_t)u * nw;
+        int32_t x = A[u];
         for (int32_t lo = 0; lo < k; lo += 64) {
             int32_t hi = lo + 64 < k ? lo + 64 : k;
             word acc = 0;
             for (int32_t w = lo; w < hi; w++)
-                acc |= (word)d[x ^ lab[w]] << (w - lo);
+                acc |= (word)dbits[x ^ A[w]] << (w - lo);
             row[lo >> 6] = acc;
         }
     }
+}
+
+/* One nonzero word j of a root branch's P2, with its bit count and the six
+ * move masks that compress a word by it: the bits of x & mask, in order, to
+ * the low end (Hacker's Delight, 7-4). */
+typedef struct {
+    word mask, mv[6];
+    int32_t j, cnt;
+} mask_word;
+
+static void move_masks(mask_word *w)
+{
+    word m = w->mask, mk = ~m << 1;  /* counts the zeros of m to the right of each bit */
+    for (int32_t i = 0; i < 6; i++) {
+        word mp = mk ^ (mk << 1);
+        mp ^= mp << 2;
+        mp ^= mp << 4;
+        mp ^= mp << 8;
+        mp ^= mp << 16;
+        mp ^= mp << 32;
+        w->mv[i] = mp & m;
+        m = (m ^ w->mv[i]) | (w->mv[i] >> (1 << i));
+        mk &= ~mp;
+    }
+}
+
+static word compress(word x, const mask_word *w)
+{
+    x &= w->mask;
+    for (int32_t i = 0; i < 6; i++) {
+        word t = x & w->mv[i];
+        x = (x ^ t) | (t >> (1 << i));
+    }
+    return x;
+}
+
+/* The root's graph kept over D: for labels a, b both in D, bit b of row a
+ * is set iff A[a] + A[b] lies in D. */
+typedef struct {
+    word *adj;        /* k rows of nw0 words */
+    word *D;          /* D's mask, nw0 words */
+    int32_t nw0;
+    mask_word *P2;    /* the nonzero words of the current branch's P2 */
+    int32_t *rows;    /* local index -> root label, in the current branch */
+} root_state;
+
+/* The branch on the root label a: P2 = D & row a, its elements into
+ * lab[0..k2) and its graph into s->adj, local row u being root row rows[u]
+ * compressed by P2 word by word.  Returns k2. */
+static int32_t branch_graph(search *s, root_state *rt, int32_t a, const int32_t *A, int32_t *lab)
+{
+    const word *rv = rt->adj + (size_t)a * rt->nw0;
+    int32_t nj = 0, k2 = 0;
+    for (int32_t j = 0; j < rt->nw0; j++) {
+        word m = rt->D[j] & rv[j];
+        if (!m)
+            continue;
+        mask_word *w = rt->P2 + nj++;
+        w->mask = m;
+        w->j = j;
+        w->cnt = __builtin_popcountll(m);
+        move_masks(w);
+        for (; m; m &= m - 1) {
+            rt->rows[k2] = (j << 6) + __builtin_ctzll(m);
+            lab[k2] = A[rt->rows[k2]];
+            k2++;
+        }
+    }
+    int32_t nw = (k2 + 63) >> 6;
+    s->nw = nw;
+    for (int32_t u = 0; u < k2; u++) {
+        const word *src = rt->adj + (size_t)rt->rows[u] * rt->nw0;
+        word *out = s->adj + (size_t)u * nw, acc = 0;
+        int32_t sh = 0;
+        for (int32_t t = 0; t < nj; t++) {
+            const mask_word *w = rt->P2 + t;
+            word x = compress(src[w->j], w);
+            acc |= x << sh;
+            sh += w->cnt;
+            if (sh >= 64) {  /* a full word: carry the bits of x past it */
+                *out++ = acc;
+                sh -= 64;
+                acc = sh ? x >> (w->cnt - sh) : 0;
+            }
+        }
+        if (sh)
+            *out = acc;
+    }
+    return k2;
+}
+
+/* The branch on root label a is done: drop a from D and clear the pairs of
+ * D whose sum is A[a].  Every such pair is u, partner[u] in the branch's P2,
+ * so its k2 labels are all the rows a later branch can read. */
+static void drop_root_label(root_state *rt, const int32_t *partner, int32_t a, int32_t k2)
+{
+    for (int32_t u = 0; u < k2; u++) {
+        int32_t b = rt->rows[partner[u]];
+        rt->adj[(size_t)rt->rows[u] * rt->nw0 + (b >> 6)] &= ~BIT(b);
+    }
+    rt->D[a >> 6] &= ~BIT(a);
 }
 
 /* Color P class by class, stacking the vertices of color >= kmin in the
@@ -179,31 +281,42 @@ int f2c_max_clique(int32_t n, const int32_t *A, int32_t k, int32_t seed_size,
 {
     int32_t N = (int32_t)1 << n, nw0 = (k + 63) >> 6;
     search s = {0};
+    root_state rt = {0};
     s.best = seed_size;
     s.budget = budget;
     s.witness = witness;
-    s.dbits = calloc((size_t)N, 1);
+    rt.nw0 = nw0;
+    uint8_t *dbits = calloc((size_t)N, 1);
     s.idx = malloc((size_t)N * sizeof(int32_t));
     s.partner = malloc((size_t)(k + 1) * sizeof(int32_t));
     int32_t *lab = malloc((size_t)(k + 1) * sizeof(int32_t));
+    rt.adj = malloc(((size_t)k * nw0 + 1) * sizeof(word));
+    rt.D = malloc(((size_t)nw0 + 1) * sizeof(word));
+    rt.P2 = malloc(((size_t)nw0 + 1) * sizeof(mask_word));
+    rt.rows = malloc((size_t)(k + 1) * sizeof(int32_t));
     s.adj = malloc(((size_t)k * nw0 + 1) * sizeof(word));
     s.pstack = malloc(((size_t)(k + 1) * nw0 + 1) * sizeof(word));
     s.scratch = malloc((2 * (size_t)nw0 + 1) * sizeof(word));
     s.r = malloc((size_t)(N + 1) * sizeof(int32_t));
     int rc = SEARCH_DONE;
-    if (!s.dbits || !s.idx || !s.partner || !lab || !s.adj || !s.pstack || !s.scratch || !s.r) {
+    if (!dbits || !s.idx || !s.partner || !lab || !rt.adj || !rt.D || !rt.P2 || !rt.rows
+        || !s.adj || !s.pstack || !s.scratch || !s.r) {
         rc = SEARCH_NOMEM;
         goto done;
     }
     for (int32_t i = 0; i < k; i++)
-        s.dbits[A[i]] = 1;
+        dbits[A[i]] = 1;
+    root_graph(dbits, A, k, nw0, rt.adj);
 
-    /* the root: clique {0}, candidates A, kmin = best */
-    local_graph(&s, A, k);
+    /* the root: clique {0}, candidates D = A, kmin = best */
     for (int32_t j = 0; j < nw0; j++)
-        s.pstack[j] = j < k >> 6 ? ~(word)0 : (BIT(k) - 1);
+        rt.D[j] = s.pstack[j] = j < k >> 6 ? ~(word)0 : (BIT(k) - 1);
+    word *branch_adj = s.adj;
+    s.adj = rt.adj;
+    s.nw = nw0;
     size_t m0;
     rc = color_order(&s, s.pstack, s.best, &m0);
+    s.adj = branch_adj;
     if (rc)
         goto done;
     s.items_top = m0;
@@ -212,19 +325,14 @@ int f2c_max_clique(int32_t n, const int32_t *A, int32_t k, int32_t seed_size,
         item it = s.items[i];
         if (1 + it.color <= s.best)
             break;
-        int32_t v = A[it.v];
+        int32_t a = it.v, v = A[a];
         if (s.nodes >= s.budget) {
             rc = SEARCH_STOPPED;
             break;
         }
         s.nodes++;
-        int32_t k2 = 0;
-        for (int32_t j = 0; j < k; j++) {  /* P2 of the difference rule */
-            lab[k2] = A[j];
-            k2 += s.dbits[A[j]] & s.dbits[A[j] ^ v];
-        }
+        int32_t k2 = branch_graph(&s, &rt, a, A, lab);  /* P2 of the difference rule */
         if (k2) {
-            local_graph(&s, lab, k2);
             for (int32_t j = 0; j < k2; j++)
                 s.idx[lab[j]] = j;
             for (int32_t j = 0; j < k2; j++)
@@ -241,16 +349,20 @@ int f2c_max_clique(int32_t n, const int32_t *A, int32_t k, int32_t seed_size,
             witness[0] = 0;
             witness[1] = v;
         }
-        s.dbits[v] = 0;
+        drop_root_label(&rt, s.partner, a, k2);
     }
 done:
     out[0] = s.best;
     out[1] = s.nodes;
     out[2] = rc == SEARCH_STOPPED;
-    free(s.dbits);
+    free(dbits);
     free(s.idx);
     free(s.partner);
     free(lab);
+    free(rt.adj);
+    free(rt.D);
+    free(rt.P2);
+    free(rt.rows);
     free(s.adj);
     free(s.pstack);
     free(s.scratch);

@@ -21,7 +21,8 @@ import numpy as np
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 SOURCE = os.path.join(_HERE, "_clique.c")
-COMMAND = tuple(shlex.split(sysconfig.get_config_var("CC") or "cc")) + ("-O2", "-shared", "-fPIC")
+CC = tuple(shlex.split(sysconfig.get_config_var("CC") or "cc"))
+COMMAND = CC + ("-O2", "-shared", "-fPIC")
 
 
 def library_name(source: bytes) -> str:

@@ -185,11 +185,15 @@ def max_clique(
     graph searched, the root's on A and each root branch's on P2, is
     relabelled to local indices 0..k-1 in increasing order of its vertices
     and held as rows of 64-bit words (BBMC, San Segundo et al. 2011); the
-    partner w + v of the pairing rule becomes a local index.  A local graph
-    is built a whole row at a time: row u is gathered word by word from a
-    0/1 byte per element that says whether it lies in D (the bit of w is
-    the byte of lab[u] + lab[w]), so no pair costs a branch or a column
-    write.  The order is kept, so every coloring, branch and node is the
+    partner w + v of the pairing rule becomes a local index.  The root's
+    graph is gathered once, word by word, from a 0/1 byte per element that
+    says whether it is a generator, and then kept as the running graph over
+    D: once the branch on v is done, the pairs of D whose sum is v are
+    cleared, O(|P2|) bit clears.  A root branch's P2 is D's mask and v's
+    row, and each of its rows is the root's row compressed by that mask,
+    one 64-bit word at a time with move masks computed once per mask word
+    (Warren, Hacker's Delight, 7-4), so no pair costs a byte load or a
+    branch.  The order is kept, so every coloring, branch and node is the
     one a search over the global labels makes.  A node with clique R colors
     its candidates greedily, class by class, and lists only the vertices of
     color at least kmin = best - |R| + 1 (MCQ, Tomita & Kameda 2007), the
@@ -443,7 +447,7 @@ def chromatic_bracket(
     _require_budget(budget)
     if subspace_report is not None:
         _report_seed(G, subspace_report)
-    if clique is not None and (clique.witness.n != G.n or clique.witness.size != clique.size
+    if clique is not None and (clique.witness.size != clique.size
                                or not verify_clique(G, clique.witness)):
         raise PreconditionError("clique outcome is not a clique of this graph of its stated size")
     return _sides_and_bracket(G, budget, budget, subspace_report, clique)[2]

@@ -27,7 +27,6 @@ __all__ = [
     "bits_of",
     "xor_shift",
     "rref",
-    "rref_insert",
     "span",
     "subspace_members",
     "gaussian_row",
@@ -129,12 +128,6 @@ class ElemSet:
         if not 0 <= t < (1 << self.n):
             raise PreconditionError(f"translation by {t} outside F_2^{self.n}")
         return ElemSet(self.n, xor_shift(self.mask, t, self.n))
-
-
-def rref_insert(basis: Tuple[int, ...], v: int):
-    """Insert v into an RREF basis; None if v is already in the span."""
-    out = rref((*basis, v))
-    return out if len(out) > len(basis) else None
 
 
 def rref(vectors: Iterable[int]) -> Tuple[int, ...]:

@@ -334,18 +334,22 @@ class _RefBudget(Exception):
     pass
 
 
-def reference_max_clique(G, budget=None, subspace_report=None, branch_sizes=None):
+def reference_max_clique(G, budget=None, subspace_report=None, trace=None):
     """The search of max_clique over the global labels 0..2^n - 1, with the
     difference and pairing rules but with no local labels and no kmin cut:
     every vertex is colored and the branch loop does all the pruning.  The
     reference that max_clique must equal node for node and witness for
-    witness; returns (size, witness mask, optimal, nodes).  The size of each
-    root branch's P2 that is searched is appended to `branch_sizes`."""
+    witness; returns (size, witness mask, optimal, nodes).  A `trace` dict
+    gets under "p2" the mask of each root branch's P2 that is searched, and
+    under "root_done" the number of root branches finished when the search
+    ended."""
     n = G.n
     adj = adjacency_masks(G)
     rep = subspace_cliques(G) if subspace_report is None else subspace_report
     seed = subspace_members(Subspace(n, rep.witness_basis)).mask
     state = {"mask": seed, "size": seed.bit_count(), "nodes": 0}
+    trace = {} if trace is None else trace
+    trace.update(p2=[], root_done=0)
 
     def color_order(P, adj):
         order, bound, color = [], [], 0
@@ -374,8 +378,8 @@ def reference_max_clique(G, budget=None, subspace_report=None, branch_sizes=None
             if r_size == 1:  # P is D, the root candidates not yet branched
                 P2 = P & xor_shift(P, v, n)
                 sub = {u: xor_shift(P, u, n) & P2 for u in bits_of(P2)}
-                if branch_sizes is not None and P2:
-                    branch_sizes.append(P2.bit_count())
+                if P2:
+                    trace["p2"].append(P2)
             else:
                 P2, sub = P & adj[v], adj
             if P2:
@@ -383,6 +387,8 @@ def reference_max_clique(G, budget=None, subspace_report=None, branch_sizes=None
             elif r_size + 1 > state["size"]:
                 state["size"], state["mask"] = r_size + 1, r_mask | 1 << v
             P &= ~(1 << v)
+            if r_size == 1:
+                trace["root_done"] += 1
             if r_size == 2:
                 P &= ~(1 << (v ^ root_v))
 
@@ -394,13 +400,27 @@ def reference_max_clique(G, budget=None, subspace_report=None, branch_sizes=None
     return state["size"], state["mask"], optimal, state["nodes"]
 
 
+def _skips_a_root_word(H, p2):
+    """Whether the root branch with candidates p2 holds no vertex of some
+    64-label word of the root's graph (H's generators, in increasing order)
+    below a word that it does hold."""
+    rank = {g: r for r, g in enumerate(H.generators)}
+    words = {rank[v] >> 6 for v in bits_of(p2)}
+    return len(words) <= max(words)
+
+
 def test_max_clique_matches_global_label_reference():
     # Root graphs of 118-262 vertices and root branches of 50-142, most not a
     # multiple of 8, so the word rows cross byte and 64-bit boundaries, and
     # some of exactly 64 and 128, whose last word is full; the budget sweep
     # stops the search inside root branches at many depths, and one graph
-    # (n = 8, i = 1, omega 10 > 2^3) improves on its seed there.
-    sizes = []
+    # (n = 8, i = 1, omega 10 > 2^3) improves on its seed there.  A root
+    # branch's rows are the root's rows compressed by its P2, so some P2
+    # (at n = 9) must miss a whole 64-label word of the root below one it
+    # holds, a word the compression skips; the budgets at half and all but
+    # one of a full search stop it after root branches have cleared their
+    # pairs from the root's graph, at least 19 of them at all but one.
+    sizes, skips, done_at_stop = [], 0, []
     for n, i in ((8, 0), (8, 1), (9, 0)):
         G = sample_cayley(n, derive_seed(11, i))
         for H in (G, G.complement()):
@@ -408,9 +428,10 @@ def test_max_clique_matches_global_label_reference():
             seed = subspace_members(Subspace(n, rep.witness_basis)).mask
             full = max_clique(H, subspace_report=rep)
             sizes.append(H.generators.size)  # the root's graph
-            for budget in (None,) + tuple(range(1, 61)):
+            for budget in (None,) + tuple(range(1, 61)) + (full.nodes // 2, full.nodes - 1):
                 out = full if budget is None else max_clique(H, budget, subspace_report=rep)
-                ref = reference_max_clique(H, budget, rep, sizes if budget is None else None)
+                trace = {}
+                ref = reference_max_clique(H, budget, rep, trace)
                 assert (out.size, out.witness.mask, out.optimal, out.nodes) == ref
                 assert out.witness.size == out.size and out.witness.mask & 1
                 assert verify_clique(H, out.witness)
@@ -418,8 +439,15 @@ def test_max_clique_matches_global_label_reference():
                     assert out.nodes == budget and not out.optimal
                     # the witness is the seed until the search beats its size
                     assert (out.witness.mask == seed) == (out.size == seed.bit_count())
+                if budget is None:
+                    sizes += [p2.bit_count() for p2 in trace["p2"]]
+                    skips += sum(_skips_a_root_word(H, p2) for p2 in trace["p2"])
+                elif budget == full.nodes - 1:
+                    done_at_stop.append(trace["root_done"])
     assert max(sizes) > 256 and any(64 < k < 128 and k % 8 for k in sizes)
     assert {64, 128} <= set(sizes)
+    assert skips
+    assert min(done_at_stop) >= 19
 
 
 def test_max_clique_matches_reference_on_a_root_graph_of_many_words():
@@ -434,7 +462,9 @@ def test_max_clique_matches_reference_on_a_root_graph_of_many_words():
     sizes = []
     for budget in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89):
         out = max_clique(H, budget, subspace_report=rep)
-        ref = reference_max_clique(H, budget, rep, sizes)
+        trace = {}
+        ref = reference_max_clique(H, budget, rep, trace)
+        sizes += [p2.bit_count() for p2 in trace["p2"]]
         assert (out.size, out.witness.mask, out.optimal, out.nodes) == ref
         assert verify_clique(H, out.witness) and out.nodes == budget
     assert H.generators.size == 1100 and any(k > 256 and k % 64 for k in sizes)
@@ -821,6 +851,11 @@ def test_chromatic_bracket_refuses_inputs_of_another_graph():
     for bad in (replace(own, size=own.size + 1), replace(own, witness=ElemSet(6, 1))):
         with pytest.raises(PreconditionError, match="clique outcome"):
             chromatic_bracket(G2, clique=bad)
+    # a set of the stated size from another space, refused by verify_clique
+    for m in (6, 8):
+        other = replace(own, witness=ElemSet(m, (1 << own.size) - 1))
+        with pytest.raises(PreconditionError, match="wrong ambient dimension"):
+            chromatic_bracket(G2, clique=other)
     assert chromatic_bracket(G2, clique=own) == br
     # a subspace report of G1 whose witness leaves the generators of G2
     G1, G2 = sample_cayley(6, 37), sample_cayley(6, 537)

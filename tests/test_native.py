@@ -1,12 +1,18 @@
 """The C search kernel's build cache: one library per source, safe under
-concurrent first imports, and a failed compile fails the import; and the
-source compiles without warnings."""
+concurrent first imports, and a failed compile fails the import; the source
+compiles without warnings; and both entry points run clean under the
+address, leak and undefined-behaviour sanitizers."""
 import os
 import shutil
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
+from f2cayley import CayleyGraph, ElemSet, derive_seed, sample_cayley, subspace_cliques
 from f2cayley import _native
+from f2cayley.cliques import _NODES_MAX
 
 PACKAGE = os.path.dirname(_native.__file__)
 
@@ -55,3 +61,132 @@ def test_source_compiles_without_warnings(tmp_path):
     proc = subprocess.run(list(command) + ["-o", str(tmp_path / "lib.so"), _native.SOURCE],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# Reads one call per line, "c n seed_size budget k A..." for f2c_max_clique or
+# "s n k A..." for f2c_subspaces, and prints the return code and the outputs;
+# every buffer has exactly the length that _native's callers pass.
+DRIVER = r"""
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+
+int f2c_max_clique(int32_t, const int32_t *, int32_t, int32_t, int64_t, int32_t *, int64_t *);
+int f2c_subspaces(int32_t, const int32_t *, int32_t, int64_t *, int32_t *);
+
+int main(void)
+{
+    char op;
+    int n, k, seed = 0;
+    long long budget = 0;
+    while (scanf(" %c %d", &op, &n) == 2) {
+        if (op == 'c' && scanf("%d %lld", &seed, &budget) != 2)
+            return 3;
+        if (scanf("%d", &k) != 1)
+            return 3;
+        int32_t *A = malloc(((size_t)k + 1) * sizeof *A);
+        for (int i = 0; i < k; i++)
+            if (scanf("%d", &A[i]) != 1)
+                return 3;
+        if (op == 'c') {
+            int32_t *witness = malloc(((size_t)1 << n) * sizeof *witness);
+            int64_t out[3];
+            int rc = f2c_max_clique(n, A, k, seed, budget, witness, out);
+            printf("%d %lld %lld %lld", rc, (long long)out[0], (long long)out[1], (long long)out[2]);
+            for (int i = 0; out[0] > seed && i < out[0]; i++)
+                printf(" %d", witness[i]);
+            free(witness);
+        } else {
+            int64_t *counts = malloc(((size_t)n + 1) * sizeof *counts);
+            int32_t *witness = malloc((size_t)n * sizeof *witness);
+            int rc = f2c_subspaces(n, A, k, counts, witness);
+            int dim = 0;
+            printf("%d", rc);
+            for (int m = 0; m <= n; m++) {
+                printf(" %lld", (long long)counts[m]);
+                if (counts[m])
+                    dim = m;
+            }
+            for (int i = 0; i < dim; i++)
+                printf(" %d", witness[i]);
+            free(counts);
+            free(witness);
+        }
+        printf("\n");
+        free(A);
+    }
+    return 0;
+}
+"""
+
+
+def sanitized_driver(tmp_path):
+    """The driver linked with _clique.c under AddressSanitizer (with its
+    LeakSanitizer) and UndefinedBehaviorSanitizer, or a skip when the
+    compiler cannot link -fsanitize=address."""
+    probe = tmp_path / "probe.c"
+    probe.write_text("int main(void) { return 0; }\n")
+    proc = subprocess.run(list(_native.CC) + ["-fsanitize=address", "-o", str(tmp_path / "probe"),
+                                              str(probe)], capture_output=True, text=True)
+    if proc.returncode:
+        pytest.skip(f"the C compiler cannot link -fsanitize=address: {proc.stderr.strip()}")
+    (tmp_path / "driver.c").write_text(DRIVER)
+    exe = tmp_path / "driver"
+    flags = ["-O1", "-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined",
+             "-fno-sanitize-recover=all", "-Wall", "-Wextra", "-Werror"]
+    proc = subprocess.run(list(_native.CC) + flags + ["-o", str(exe), str(tmp_path / "driver.c"),
+                                                       _native.SOURCE], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return exe
+
+
+def native_clique(n, gens, seed_size, budget):
+    witness = np.zeros(1 << n, dtype=np.int32)
+    out = np.zeros(3, dtype=np.int64)
+    rc = _native.max_clique(n, gens, len(gens), seed_size, budget, witness, out)
+    size = int(out[0])
+    return [rc] + out.tolist() + (witness[:size].tolist() if size > seed_size else [])
+
+
+def native_subspaces(n, gens):
+    counts = np.zeros(n + 1, dtype=np.int64)
+    witness = np.zeros(n, dtype=np.int32)
+    rc = _native.subspaces(n, gens, len(gens), counts, witness)
+    dim = max(m for m, c in enumerate(counts.tolist()) if c)
+    return [rc] + counts.tolist() + witness[:dim].tolist()
+
+
+def test_both_entry_points_run_clean_under_the_sanitizers(tmp_path):
+    # Empty, complete and sampled generator sets at n = 2..9, each searched
+    # from the subspace seed and from {0} under budgets that stop the clique
+    # search at its first nodes, inside a root branch, and after root
+    # branches have cleared their pairs from the root's graph.  Any leak,
+    # out-of-bounds access or undefined behaviour ends the driver with a
+    # report on stderr and a nonzero exit.
+    exe = sanitized_driver(tmp_path)
+    lines, expected, stops = [], [], 0
+    for n in range(2, 10):
+        N = 1 << n
+        graphs = [CayleyGraph(n, ElemSet(n, 0)), CayleyGraph(n, ElemSet(n, (1 << N) - 2))]
+        for i in range(2):
+            G = sample_cayley(n, derive_seed(23, n * 10 + i))
+            graphs += [G, G.complement()]
+        for H in graphs:
+            gens = np.flatnonzero(H.generators.member_table()).astype(np.int32)
+            listed = " ".join(map(str, gens.tolist()))
+            lines.append(f"s {n} {len(gens)} {listed}")
+            expected.append(native_subspaces(n, gens))
+            seed = 1 << max(subspace_cliques(H).counts)
+            full = native_clique(n, gens, 1, _NODES_MAX)[2]
+            for seed_size in (seed, 1):
+                for budget in (0, 1, 2, 5, full // 2, full - 1, _NODES_MAX):
+                    lines.append(f"c {n} {seed_size} {budget} {len(gens)} {listed}")
+                    expected.append(native_clique(n, gens, seed_size, budget))
+                    stops += expected[-1][3]
+    env = dict(os.environ, ASAN_OPTIONS="detect_leaks=1:abort_on_error=0:exitcode=23",
+               UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1")
+    proc = subprocess.run([str(exe)], input="\n".join(lines) + "\n", env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    assert [list(map(int, row.split())) for row in proc.stdout.splitlines()] == expected
+    assert stops > 100
