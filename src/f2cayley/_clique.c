@@ -11,19 +11,23 @@
  * The Python side builds the inputs and checks every result; this file does
  * every node of both searches.
  *
+ * A set of F_2^n is held as 2^n bits in nw = max(1, 2^n / 64) words; for
+ * n < 6 only the low 2^n bits of the one word are used.  Translation by v
+ * permutes the words by v >> 6 and the bits inside each word by v & 63.
+ *
  * In the clique search, each graph searched, the root's on A and each root
  * branch's on P2, is labelled 0..k-1 in increasing order of its vertices and
  * held as k rows of nw = ceil(k / 64) words (BBMC, San Segundo et al. 2011).
- * The root's graph is gathered once, a word at a time with no branch: the
- * bit of w in row u is the 0/1 byte dbits[A[u] ^ A[w]] of A's indicator,
- * shifted into place.  It is then kept as the running root adjacency over
- * D, the root candidates not yet branched: once the branch on v is done,
- * the pairs of D whose sum is v are cleared.  A root branch's P2 is D's mask
- * and v's row, and each of its rows is that root row compressed by P2's
- * mask, one 64-bit word at a time (Warren, Hacker's Delight, 7-4).  A node
- * colors its candidates greedily, class by class, and lists only the
- * vertices of color at least kmin = best - |R| + 1 (MCQ, Tomita & Kameda
- * 2007).
+ * Every row is a set compressed by a mask, one 64-bit word at a time
+ * (Warren, Hacker's Delight, 7-4): the bits under the mask, in order, packed
+ * to the low end.  The root's row u is A's indicator translated by A[u] and
+ * compressed by A itself, so it has w iff A[u] + A[w] lies in A.  It is then
+ * kept as the running root adjacency over D, the root candidates not yet
+ * branched: once the branch on v is done, the pairs of D whose sum is v are
+ * cleared.  A root branch's P2 is D's mask and v's row, and each of its rows
+ * is that root row compressed by P2's mask.  A node colors its candidates
+ * greedily, class by class, and lists only the vertices of color at least
+ * kmin = best - |R| + 1 (MCQ, Tomita & Kameda 2007).
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -55,35 +59,35 @@ typedef struct {
 
 #define BIT(v) ((word)1 << ((v) & 63))
 
-/* The root's graph into k rows of nw words: row u has w iff A[u] + A[w]
- * lies in A, gathered a whole row at a time from A's indicator dbits; the
- * diagonal is clear since A never holds 0. */
-static void root_graph(const uint8_t *dbits, const int32_t *A, int32_t k, int32_t nw, word *adj)
+/* LOW[s] marks the bit positions whose index bit s is 0. */
+static const word LOW[6] = {
+    0x5555555555555555ULL, 0x3333333333333333ULL, 0x0F0F0F0F0F0F0F0FULL,
+    0x00FF00FF00FF00FFULL, 0x0000FFFF0000FFFFULL, 0x00000000FFFFFFFFULL,
+};
+
+/* Permute the bits of one word by the translation x -> x + t, t < 64. */
+static word shift_in_word(word x, int32_t t)
 {
-    for (int32_t u = 0; u < k; u++) {
-        word *row = adj + (size_t)u * nw;
-        int32_t x = A[u];
-        for (int32_t lo = 0; lo < k; lo += 64) {
-            int32_t hi = lo + 64 < k ? lo + 64 : k;
-            word acc = 0;
-            for (int32_t w = lo; w < hi; w++)
-                acc |= (word)dbits[x ^ A[w]] << (w - lo);
-            row[lo >> 6] = acc;
-        }
-    }
+    for (int32_t s = 0; s < 6; s++)
+        if (t >> s & 1)
+            x = ((x >> (1 << s)) & LOW[s]) | ((x & LOW[s]) << (1 << s));
+    return x;
 }
 
-/* One nonzero word j of a root branch's P2, with its bit count and the six
- * move masks that compress a word by it: the bits of x & mask, in order, to
- * the low end (Hacker's Delight, 7-4). */
+/* One nonzero word j of a mask, with its bit count and the six move masks
+ * that compress a word by it: the bits of x & mask, in order, to the low
+ * end (Hacker's Delight, 7-4). */
 typedef struct {
     word mask, mv[6];
     int32_t j, cnt;
 } mask_word;
 
-static void move_masks(mask_word *w)
+static void set_mask_word(mask_word *w, word mask, int32_t j)
 {
-    word m = w->mask, mk = ~m << 1;  /* counts the zeros of m to the right of each bit */
+    word m = mask, mk = ~m << 1;  /* counts the zeros of m to the right of each bit */
+    w->mask = mask;
+    w->j = j;
+    w->cnt = __builtin_popcountll(mask);
     for (int32_t i = 0; i < 6; i++) {
         word mp = mk ^ (mk << 1);
         mp ^= mp << 2;
@@ -107,19 +111,40 @@ static word compress(word x, const mask_word *w)
     return x;
 }
 
+/* The words src[masks[t].j] (t < nj) compressed by their masks and packed
+ * into out, low bits first: ceil(total count / 64) words. */
+static void pack_row(word *out, const word *src, const mask_word *masks, int32_t nj)
+{
+    word acc = 0;
+    int32_t sh = 0;
+    for (int32_t t = 0; t < nj; t++) {
+        const mask_word *w = masks + t;
+        word x = compress(src[w->j], w);
+        acc |= x << sh;
+        sh += w->cnt;
+        if (sh >= 64) {  /* a full word: carry the bits of x past it */
+            *out++ = acc;
+            sh -= 64;
+            acc = sh ? x >> (w->cnt - sh) : 0;
+        }
+    }
+    if (sh)
+        *out = acc;
+}
+
 /* The root's graph kept over D: for labels a, b both in D, bit b of row a
  * is set iff A[a] + A[b] lies in D. */
 typedef struct {
     word *adj;        /* k rows of nw0 words */
     word *D;          /* D's mask, nw0 words */
     int32_t nw0;
-    mask_word *P2;    /* the nonzero words of the current branch's P2 */
+    mask_word *P2;    /* the nonzero words of A's indicator, then of the current branch's P2 */
     int32_t *rows;    /* local index -> root label, in the current branch */
 } root_state;
 
 /* The branch on the root label a: P2 = D & row a, its elements into
  * lab[0..k2) and its graph into s->adj, local row u being root row rows[u]
- * compressed by P2 word by word.  Returns k2. */
+ * compressed by P2.  Returns k2. */
 static int32_t branch_graph(search *s, root_state *rt, int32_t a, const int32_t *A, int32_t *lab)
 {
     const word *rv = rt->adj + (size_t)a * rt->nw0;
@@ -128,11 +153,7 @@ static int32_t branch_graph(search *s, root_state *rt, int32_t a, const int32_t 
         word m = rt->D[j] & rv[j];
         if (!m)
             continue;
-        mask_word *w = rt->P2 + nj++;
-        w->mask = m;
-        w->j = j;
-        w->cnt = __builtin_popcountll(m);
-        move_masks(w);
+        set_mask_word(rt->P2 + nj++, m, j);
         for (; m; m &= m - 1) {
             rt->rows[k2] = (j << 6) + __builtin_ctzll(m);
             lab[k2] = A[rt->rows[k2]];
@@ -141,24 +162,8 @@ static int32_t branch_graph(search *s, root_state *rt, int32_t a, const int32_t 
     }
     int32_t nw = (k2 + 63) >> 6;
     s->nw = nw;
-    for (int32_t u = 0; u < k2; u++) {
-        const word *src = rt->adj + (size_t)rt->rows[u] * rt->nw0;
-        word *out = s->adj + (size_t)u * nw, acc = 0;
-        int32_t sh = 0;
-        for (int32_t t = 0; t < nj; t++) {
-            const mask_word *w = rt->P2 + t;
-            word x = compress(src[w->j], w);
-            acc |= x << sh;
-            sh += w->cnt;
-            if (sh >= 64) {  /* a full word: carry the bits of x past it */
-                *out++ = acc;
-                sh -= 64;
-                acc = sh ? x >> (w->cnt - sh) : 0;
-            }
-        }
-        if (sh)
-            *out = acc;
-    }
+    for (int32_t u = 0; u < k2; u++)
+        pack_row(s->adj + (size_t)u * nw, rt->adj + (size_t)rt->rows[u] * rt->nw0, rt->P2, nj);
     return k2;
 }
 
@@ -279,34 +284,45 @@ static int expand(search *s, int32_t r_size, size_t depth, int pairing)
 int f2c_max_clique(int32_t n, const int32_t *A, int32_t k, int32_t seed_size,
                    int64_t budget, int32_t *witness, int64_t *out)
 {
-    int32_t N = (int32_t)1 << n, nw0 = (k + 63) >> 6;
+    int32_t N = (int32_t)1 << n, nw = N < 64 ? 1 : N >> 6, nw0 = (k + 63) >> 6;
     search s = {0};
     root_state rt = {0};
     s.best = seed_size;
     s.budget = budget;
     s.witness = witness;
     rt.nw0 = nw0;
-    uint8_t *dbits = calloc((size_t)N, 1);
+    word *ind = calloc(2 * (size_t)nw, sizeof(word)), *moved = ind + nw;
     s.idx = malloc((size_t)N * sizeof(int32_t));
     s.partner = malloc((size_t)(k + 1) * sizeof(int32_t));
     int32_t *lab = malloc((size_t)(k + 1) * sizeof(int32_t));
     rt.adj = malloc(((size_t)k * nw0 + 1) * sizeof(word));
     rt.D = malloc(((size_t)nw0 + 1) * sizeof(word));
-    rt.P2 = malloc(((size_t)nw0 + 1) * sizeof(mask_word));
+    rt.P2 = malloc((size_t)nw * sizeof(mask_word));  /* nw >= nw0 */
     rt.rows = malloc((size_t)(k + 1) * sizeof(int32_t));
     s.adj = malloc(((size_t)k * nw0 + 1) * sizeof(word));
     s.pstack = malloc(((size_t)(k + 1) * nw0 + 1) * sizeof(word));
     s.scratch = malloc((2 * (size_t)nw0 + 1) * sizeof(word));
     s.r = malloc((size_t)(N + 1) * sizeof(int32_t));
     int rc = SEARCH_DONE;
-    if (!dbits || !s.idx || !s.partner || !lab || !rt.adj || !rt.D || !rt.P2 || !rt.rows
+    if (!ind || !s.idx || !s.partner || !lab || !rt.adj || !rt.D || !rt.P2 || !rt.rows
         || !s.adj || !s.pstack || !s.scratch || !s.r) {
         rc = SEARCH_NOMEM;
         goto done;
     }
+    /* root row u: A's indicator translated by A[u] and compressed by A; u
+     * is not in it, as 0 is not in A */
+    int32_t nj = 0;
     for (int32_t i = 0; i < k; i++)
-        dbits[A[i]] = 1;
-    root_graph(dbits, A, k, nw0, rt.adj);
+        ind[A[i] >> 6] |= BIT(A[i]);
+    for (int32_t j = 0; j < nw; j++)
+        if (ind[j])
+            set_mask_word(rt.P2 + nj++, ind[j], j);
+    for (int32_t u = 0; u < k; u++) {
+        int32_t o = A[u] >> 6, t = A[u] & 63;
+        for (int32_t i = 0; i < nj; i++)
+            moved[rt.P2[i].j] = shift_in_word(ind[rt.P2[i].j ^ o], t);
+        pack_row(rt.adj + (size_t)u * nw0, moved, rt.P2, nj);
+    }
 
     /* the root: clique {0}, candidates D = A, kmin = best */
     for (int32_t j = 0; j < nw0; j++)
@@ -355,7 +371,7 @@ done:
     out[0] = s.best;
     out[1] = s.nodes;
     out[2] = rc == SEARCH_STOPPED;
-    free(dbits);
+    free(ind);
     free(s.idx);
     free(s.partner);
     free(lab);
@@ -374,10 +390,7 @@ done:
 /* ---- subspace cliques --------------------------------------------------
  * The orderly search of cliques.subspace_cliques, whose docstring argues it:
  * the same nodes in the same order, so the counts and the first deepest
- * basis are those of a search over Python ints.  A set of 2^n bits is held
- * as nw = max(1, 2^n / 64) words; for n < 6 only the low 2^n bits of the
- * one word are used.  Translation by v permutes the words by v >> 6 and
- * swaps bits inside each word by v & 63. */
+ * basis are those of a search over Python ints, on sets of 2^n bits. */
 
 typedef struct {
     int32_t n, nw;
@@ -388,21 +401,6 @@ typedef struct {
     int32_t best_len;
     int64_t *counts;
 } subspace_search;
-
-/* LOW[s] marks the bit positions whose index bit s is 0. */
-static const word LOW[6] = {
-    0x5555555555555555ULL, 0x3333333333333333ULL, 0x0F0F0F0F0F0F0F0FULL,
-    0x00FF00FF00FF00FFULL, 0x0000FFFF0000FFFFULL, 0x00000000FFFFFFFFULL,
-};
-
-/* Permute the bits of one word by the translation x -> x + t, t < 64. */
-static word shift_in_word(word x, int32_t t)
-{
-    for (int32_t s = 0; s < 6; s++)
-        if (t >> s & 1)
-            x = ((x >> (1 << s)) & LOW[s]) | ((x & LOW[s]) << (1 << s));
-    return x;
-}
 
 /* The first word holding an element >= 2^q. */
 static int32_t word_from(int32_t q)

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from numbers import Integral
 from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import _native
-from .errors import InvariantError, PreconditionError
+from .errors import InvariantError, PreconditionError, require_budget
 from .cayley import CayleyGraph
 from .gf2 import ElemSet, Subspace, rref, subspace_members
 
@@ -133,12 +132,6 @@ def _require(ok: bool, what: str) -> None:
         raise InvariantError(what)
 
 
-def _require_budget(budget: Optional[int]) -> None:
-    if budget is not None and (isinstance(budget, bool) or not isinstance(budget, Integral)
-                               or budget < 0):
-        raise PreconditionError(f"search budget must be an integer >= 0, got {budget!r}")
-
-
 def _report_seed(G: CayleyGraph, rep: SubspaceCliqueReport) -> ElemSet:
     """The members of the report's witness subspace, refused unless a clique of G."""
     seed = subspace_members(Subspace(G.n, rep.witness_basis))
@@ -185,34 +178,34 @@ def max_clique(
     graph searched, the root's on A and each root branch's on P2, is
     relabelled to local indices 0..k-1 in increasing order of its vertices
     and held as rows of 64-bit words (BBMC, San Segundo et al. 2011); the
-    partner w + v of the pairing rule becomes a local index.  The root's
-    graph is gathered once, word by word, from a 0/1 byte per element that
-    says whether it is a generator, and then kept as the running graph over
-    D: once the branch on v is done, the pairs of D whose sum is v are
-    cleared, O(|P2|) bit clears.  A root branch's P2 is D's mask and v's
-    row, and each of its rows is the root's row compressed by that mask,
-    one 64-bit word at a time with move masks computed once per mask word
-    (Warren, Hacker's Delight, 7-4), so no pair costs a byte load or a
-    branch.  The order is kept, so every coloring, branch and node is the
-    one a search over the global labels makes.  A node with clique R colors
-    its candidates greedily, class by class, and lists only the vertices of
-    color at least kmin = best - |R| + 1 (MCQ, Tomita & Kameda 2007), the
-    only ones that could be branched on: once the classes done plus the
-    candidates left fall short of kmin, it stops coloring.
+    partner w + v of the pairing rule becomes a local index.  Every row is
+    built the same way: a set is compressed by a mask, one 64-bit word at a
+    time with move masks computed once per mask word (Warren, Hacker's
+    Delight, 7-4), so no pair costs a load or a branch of its own.  The
+    root's row of u is A's 2^n-bit indicator translated by u and compressed
+    by A, and the root's graph is then kept as the running graph over D:
+    once the branch on v is done, the pairs of D whose sum is v are cleared,
+    O(|P2|) bit clears.  A root branch's P2 is D's mask and v's row, and
+    each of its rows is the root's row compressed by that mask.  The order
+    is kept, so every coloring, branch and node is the one a search over
+    the global labels makes.  A node with clique R colors its candidates
+    greedily, class by class, and lists only the vertices of color at least
+    kmin = best - |R| + 1 (MCQ, Tomita & Kameda 2007), the only ones that
+    could be branched on: once the classes done plus the candidates left
+    fall short of kmin, it stops coloring.
 
     The incumbent starts from the deepest subspace clique.  With a node
     budget (>= 0) the search may stop early, after exactly `budget` nodes,
     returning the incumbent with optimal=False.  A `subspace_report` whose
     witness subspace is no clique of G is refused.
     """
-    _require_budget(budget)
+    limit = _NODES_MAX if budget is None else min(require_budget(budget), _NODES_MAX)
     n = G.n
     seed = _report_seed(G, subspace_report if subspace_report is not None else subspace_cliques(G))
     seed_size = seed.size
     gens = np.flatnonzero(G.generators.member_table()).astype(np.int32)
     elems = np.zeros(1 << n, dtype=np.int32)
     out = np.zeros(3, dtype=np.int64)
-    limit = _NODES_MAX if budget is None else min(int(budget), _NODES_MAX)
     if _native.max_clique(n, gens, len(gens), seed_size, limit, elems, out):
         raise MemoryError("max_clique search ran out of memory")
     size, nodes, stopped = out.tolist()
@@ -444,7 +437,8 @@ def chromatic_bracket(
     starts, `clique` must be a clique of G of its stated size, and the
     witness of `subspace_report` a clique of G.
     """
-    _require_budget(budget)
+    if budget is not None:
+        require_budget(budget)
     if subspace_report is not None:
         _report_seed(G, subspace_report)
     if clique is not None and (clique.witness.size != clique.size

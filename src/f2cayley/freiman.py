@@ -22,7 +22,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .errors import BudgetExceededError, InvariantError, PreconditionError
+from .errors import BudgetExceededError, InvariantError, PreconditionError, require_budget
 from .gf2 import ElemSet, cosets, enumerate_subspaces, rref, span
 from .sumsets import sumset
 
@@ -260,6 +260,7 @@ def census_skl(n: int, k: int, budget: int = 10**8) -> SklCensus:
     Refuses if C(2^n, k) exceeds the budget, first by its lower bounds N and
     2^min(k, N - k) for 0 < k < N, before building N or C(N, k).
     """
+    budget = require_budget(budget)
     if n < 0 or k < 1 or (k - 1).bit_length() > n:
         raise PreconditionError(f"census_skl needs n >= 0 and 1 <= k <= 2^n, got n = {n}")
     if k.bit_length() <= n and n >= budget.bit_length():

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, PreconditionError, require_budget
 
 __all__ = [
     "ElemSet",
@@ -249,6 +249,7 @@ def enumerate_subspaces(n: int, m: int, budget: int = 10**8) -> Iterator[Subspac
     set, then run a counter over the free cells (non-pivot columns below each
     row's pivot).  Refuses up front if the total count exceeds `budget`.
     """
+    budget = require_budget(budget)
     if not 0 <= m <= n <= MAX_SET_DIM:
         raise PreconditionError(f"enumerate_subspaces needs 0 <= m <= n <= {MAX_SET_DIM}")
     total = gaussian_binomial(n, m)

@@ -409,6 +409,17 @@ def _skips_a_root_word(H, p2):
     return len(words) <= max(words)
 
 
+def _matches_reference(H, budget, rep, trace=None):
+    """max_clique(H, budget) from rep's seed, asserted equal node for node and
+    witness for witness to reference_max_clique, and its witness a clique."""
+    out = max_clique(H, budget, subspace_report=rep)
+    ref = reference_max_clique(H, budget, rep, trace)
+    assert (out.size, out.witness.mask, out.optimal, out.nodes) == ref
+    assert out.witness.size == out.size and out.witness.mask & 1
+    assert verify_clique(H, out.witness)
+    return out
+
+
 def test_max_clique_matches_global_label_reference():
     # Root graphs of 118-262 vertices and root branches of 50-142, most not a
     # multiple of 8, so the word rows cross byte and 64-bit boundaries, and
@@ -429,12 +440,8 @@ def test_max_clique_matches_global_label_reference():
             full = max_clique(H, subspace_report=rep)
             sizes.append(H.generators.size)  # the root's graph
             for budget in (None,) + tuple(range(1, 61)) + (full.nodes // 2, full.nodes - 1):
-                out = full if budget is None else max_clique(H, budget, subspace_report=rep)
                 trace = {}
-                ref = reference_max_clique(H, budget, rep, trace)
-                assert (out.size, out.witness.mask, out.optimal, out.nodes) == ref
-                assert out.witness.size == out.size and out.witness.mask & 1
-                assert verify_clique(H, out.witness)
+                out = _matches_reference(H, budget, rep, trace)
                 if budget is not None and budget < full.nodes:
                     assert out.nodes == budget and not out.optimal
                     # the witness is the seed until the search beats its size
@@ -448,6 +455,15 @@ def test_max_clique_matches_global_label_reference():
     assert {64, 128} <= set(sizes)
     assert skips
     assert min(done_at_stop) >= 19
+    # at n = 2..6 A's indicator is one word, partly filled below n = 6, and
+    # each root row is that word translated inside itself
+    for n in range(2, 7):
+        for i in range(6):
+            G = sample_cayley(n, derive_seed(24, 10 * n + i))
+            for H in (G, G.complement()):
+                for rep in (subspace_cliques(H), NO_SEED):
+                    for budget in (None, 1, 3):
+                        _matches_reference(H, budget, rep)
 
 
 def test_max_clique_matches_reference_on_a_root_graph_of_many_words():
@@ -461,13 +477,19 @@ def test_max_clique_matches_reference_on_a_root_graph_of_many_words():
     rep = subspace_cliques(H)
     sizes = []
     for budget in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89):
-        out = max_clique(H, budget, subspace_report=rep)
         trace = {}
-        ref = reference_max_clique(H, budget, rep, trace)
+        assert _matches_reference(H, budget, rep, trace).nodes == budget
         sizes += [p2.bit_count() for p2 in trace["p2"]]
-        assert (out.size, out.witness.mask, out.optimal, out.nodes) == ref
-        assert verify_clique(H, out.witness) and out.nodes == budget
     assert H.generators.size == 1100 and any(k > 256 and k % 64 for k in sizes)
+    # at n = 12 A's indicator is 64 words, so a root row's translation
+    # permutes the words by up to 63; from {0}, budget 20 reaches a clique
+    # of 13 or 14, which a wrong root row would change
+    G = sample_cayley(12, derive_seed(24, 12))
+    for H in (G, G.complement()):
+        assert max(H.generators.elements()) >> 6 == 63
+        for rep in (subspace_cliques(H), NO_SEED):
+            for budget in (1, 3, 8, 20):
+                assert _matches_reference(H, budget, rep).nodes == budget
 
 
 def test_max_clique_on_empty_and_complete_generator_sets():

@@ -418,6 +418,16 @@ def test_census_above_half_needs_no_enumeration():
     assert c.counts == {63: math.comb(64, 60)} and c.total == math.comb(64, 60)
 
 
+def test_census_refuses_a_budget_that_is_no_integer_or_negative():
+    # a float, even an integral one, once failed on budget.bit_length(), and
+    # True passed as a budget of 1; every refusal comes before any counting
+    for budget in (1e8, 2.0, True, False, -1, "5", None):
+        with pytest.raises(PreconditionError, match="budget must be an integer >= 0"):
+            census_skl(5, 6, budget=budget)
+    total = math.comb(32, 6)
+    assert census_skl(5, 6, budget=np.int64(total)).total == total
+
+
 def test_census_budget_boundary():
     total = math.comb(16, 3)
     assert census_skl(4, 3, budget=total).total == total

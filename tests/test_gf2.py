@@ -284,6 +284,14 @@ def test_enumerate_subspaces_counts_and_uniqueness():
 def test_enumerate_subspaces_budget_refusal():
     with pytest.raises(BudgetExceededError):
         list(enumerate_subspaces(20, 10, budget=10))
+    # the budget is checked as an integer >= 0 when the call is made
+    for budget in (1e8, 35.0, True, -1, "35", None):
+        with pytest.raises(PreconditionError, match="budget must be an integer >= 0"):
+            enumerate_subspaces(4, 2, budget=budget)
+    for budget in (35, np.int64(35)):
+        assert len(list(enumerate_subspaces(4, 2, budget=budget))) == 35
+    with pytest.raises(BudgetExceededError):
+        enumerate_subspaces(4, 2, budget=34)
 
 
 def test_cosets_partition_and_order():

@@ -160,26 +160,32 @@ def test_both_entry_points_run_clean_under_the_sanitizers(tmp_path):
     # Empty, complete and sampled generator sets at n = 2..9, each searched
     # from the subspace seed and from {0} under budgets that stop the clique
     # search at its first nodes, inside a root branch, and after root
-    # branches have cleared their pairs from the root's graph.  Any leak,
-    # out-of-bounds access or undefined behaviour ends the driver with a
-    # report on stderr and a nonzero exit.
+    # branches have cleared their pairs from the root's graph.  At n = 12
+    # and 13, where A's indicator is 64 and 128 words, the clique search
+    # alone builds the root's graph and stops within budgets 0, 1 and 5.
+    # Any leak, out-of-bounds access or undefined behaviour ends the driver
+    # with a report on stderr and a nonzero exit.
     exe = sanitized_driver(tmp_path)
     lines, expected, stops = [], [], 0
-    for n in range(2, 10):
-        N = 1 << n
+    for n in (*range(2, 10), 12, 13):
+        N, large = 1 << n, n > 9
         graphs = [CayleyGraph(n, ElemSet(n, 0)), CayleyGraph(n, ElemSet(n, (1 << N) - 2))]
-        for i in range(2):
+        for i in range(1 if large else 2):
             G = sample_cayley(n, derive_seed(23, n * 10 + i))
             graphs += [G, G.complement()]
         for H in graphs:
             gens = np.flatnonzero(H.generators.member_table()).astype(np.int32)
             listed = " ".join(map(str, gens.tolist()))
-            lines.append(f"s {n} {len(gens)} {listed}")
-            expected.append(native_subspaces(n, gens))
             seed = 1 << max(subspace_cliques(H).counts)
-            full = native_clique(n, gens, 1, _NODES_MAX)[2]
+            if large:
+                budgets = (0, 1, 5)
+            else:
+                lines.append(f"s {n} {len(gens)} {listed}")
+                expected.append(native_subspaces(n, gens))
+                full = native_clique(n, gens, 1, _NODES_MAX)[2]
+                budgets = (0, 1, 2, 5, full // 2, full - 1, _NODES_MAX)
             for seed_size in (seed, 1):
-                for budget in (0, 1, 2, 5, full // 2, full - 1, _NODES_MAX):
+                for budget in budgets:
                     lines.append(f"c {n} {seed_size} {budget} {len(gens)} {listed}")
                     expected.append(native_clique(n, gens, seed_size, budget))
                     stops += expected[-1][3]
