@@ -10,8 +10,9 @@ nodes, never wall time, so runs are reproducible.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -362,51 +363,117 @@ def _exact_chromatic(gens: List[int], N: int, lower: int, upper: int,
     return best, nodes
 
 
+_Side = Tuple[CayleyGraph, Optional[int], Optional[SubspaceCliqueReport]]
+_SideResult = Tuple[SubspaceCliqueReport, CliqueOutcome, float]
+
+
 def _side(H: CayleyGraph, budget: Optional[int], report: Optional[SubspaceCliqueReport] = None
-          ) -> Tuple[SubspaceCliqueReport, CliqueOutcome]:
+          ) -> _SideResult:
     """H's subspace report (`report`, or a fresh one), then its maximum
-    clique searched from the report's witness."""
+    clique searched from the report's witness, and the seconds both took."""
+    t0 = time.perf_counter()
     rep = report if report is not None else subspace_cliques(H)
-    return rep, max_clique(H, budget=budget, subspace_report=rep)
+    return rep, max_clique(H, budget=budget, subspace_report=rep), time.perf_counter() - t0
 
 
-def _sides_and_bracket(G: CayleyGraph, clique_budget: Optional[int], chi_budget: Optional[int],
-                       subspace_report: Optional[SubspaceCliqueReport] = None,
-                       clique: Optional[CliqueOutcome] = None
-                       ) -> Tuple[Optional[SubspaceCliqueReport], CliqueOutcome, ChromaticBracket]:
-    """G's subspace report, omega and chromatic bracket, with the two sides
-    run at once.
+def _run_sides(sides: Sequence[_Side]) -> List[Union[_SideResult, BaseException, None]]:
+    """Run independent sides, each `_side(graph, budget, report)`, on the
+    calling thread and one helper thread.
 
-    The complement's side (budget `chi_budget`) runs on a thread started and
-    joined here while the calling thread runs G's side (`clique_budget`), or
-    takes a `clique` passed in, with `subspace_report` as its report.  Both
-    sides spend their time in the C kernels, which ctypes calls with the GIL
-    released and which keep all their state per call, so the sides overlap
-    on two cores and each search meets the nodes a serial run meets.  The
-    thread lives for this call only: a pool kept across calls would be
-    copied into a forked worker process without its threads.  It is a
-    daemon so that an interrupt is not held up by a search still running.
-    An exception from either side is raised once the thread is joined, G's
-    first, as a serial run would raise it.
+    Each thread takes the next side not yet taken, in index order, so both
+    cores stay busy until the last side starts, and the sides end within
+    half their total plus half the longest one (list scheduling; Graham
+    1966).
+    The sides spend their time in the C kernels, which ctypes calls with the
+    GIL released and which keep all their state per call, so each search
+    meets the nodes a serial run meets.
+
+    The result holds, per side in index order, its (report, outcome,
+    seconds) or the exception it raised.  Once a side raises, a
+    KeyboardInterrupt too, neither thread takes a new side, and the sides
+    never taken stay None.  Sides are taken in index order, so every side
+    before the first failure ran: a caller that reads the results in order
+    through `_result` raises the error a serial run raises.
+
+    A single side runs on the calling thread alone.  Otherwise the helper
+    lives for this call only: a pool kept across calls would be copied into
+    a forked worker process without its threads.  It is a daemon, so that an
+    interrupt of the wait for it is not held up by a search still running;
+    the helper then ends its side and takes no other.
     """
-    comp_side: list = []  # the complement side's result, or its exception
+    done: List[Union[_SideResult, BaseException, None]] = [None] * len(sides)
+    lock = threading.Lock()
+    taken, stopped = 0, False
 
-    def run_complement() -> None:
-        try:
-            comp_side.append(_side(G.complement(), chi_budget))
-        except BaseException as exc:  # raised again in the calling thread
-            comp_side.append(exc)
+    def stop() -> None:
+        nonlocal stopped
+        with lock:
+            stopped = True
 
-    worker = threading.Thread(target=run_complement, name="f2cayley-complement", daemon=True)
-    worker.start()
+    def work() -> None:
+        nonlocal taken
+        while True:
+            with lock:
+                if stopped or taken == len(sides):
+                    return
+                i, taken = taken, taken + 1
+            try:
+                done[i] = _side(*sides[i])
+            except BaseException as exc:  # the caller raises it in serial order
+                done[i] = exc
+                stop()
+                return
+
+    if len(sides) < 2:
+        work()
+        return done
+    helper = threading.Thread(target=work, name="f2cayley-sides", daemon=True)
+    helper.start()
     try:
-        rep, omega = ((subspace_report, clique) if clique is not None
-                      else _side(G, clique_budget, subspace_report))
-    finally:
-        worker.join()
-    if isinstance(comp_side[0], BaseException):
-        raise comp_side[0]
-    return rep, omega, _bracket(G, omega, *comp_side[0], chi_budget)
+        work()
+        helper.join()
+    except BaseException:  # an interrupt of this thread: the helper takes no new side
+        stop()
+        raise
+    return done
+
+
+def _result(done: Union[_SideResult, BaseException]) -> _SideResult:
+    """A side's result from `_run_sides`, or the exception it raised, raised."""
+    if isinstance(done, BaseException):
+        raise done
+    return done
+
+
+def _sides_and_brackets(graphs: Sequence[CayleyGraph], clique_budget: Optional[int],
+                        chi_budget: Optional[int]
+                        ) -> Iterator[Tuple[SubspaceCliqueReport, CliqueOutcome,
+                                            ChromaticBracket, float]]:
+    """Each graph's subspace report, omega and chromatic bracket, in order,
+    with the seconds of its own work.
+
+    Every graph's two sides, G's (its subspace cliques, then omega within
+    `clique_budget`) and then its complement's (its subspace cliques, then
+    alpha within `chi_budget`), go to one `_run_sides` call.  The results
+    are then read graph by graph, graph side, complement side, bracket, so
+    a failure raises the error a serial run raises, and nothing is yielded
+    before all sides are done.  The seconds are the complement's
+    construction, both sides and the bracket, summed over the threads that
+    ran them.
+    """
+    sides: List[_Side] = []
+    built = []
+    for G in graphs:
+        t0 = time.perf_counter()
+        sides += [(G, clique_budget, None), (G.complement(), chi_budget, None)]
+        built.append(time.perf_counter() - t0)
+    done = _run_sides(sides)
+    for i, G in enumerate(graphs):
+        rep, omega, graph_s = _result(done[2 * i])
+        comp_rep, alpha, comp_s = _result(done[2 * i + 1])
+        t0 = time.perf_counter()
+        chi = _bracket(G, omega, comp_rep, alpha, chi_budget)
+        yield rep, omega, chi, built[i] + graph_s + comp_s + time.perf_counter() - t0
 
 
 def chromatic_bracket(
@@ -430,12 +497,12 @@ def chromatic_bracket(
     lower == upper.
 
     G's side (its subspace report, or `subspace_report`, then omega) and
-    the complement's side (its report, then alpha) run at once, the
-    complement's on a second thread, with the answers and node counts of a
-    serial run.  A `clique` passed in stands in for G's side; the
-    complement's side still runs on the second thread.  Before either side
-    starts, `clique` must be a clique of G of its stated size, and the
-    witness of `subspace_report` a clique of G.
+    the complement's side (its report, then alpha) run at once through
+    `_run_sides`, on this thread and a helper, with the answers, node counts
+    and errors of a serial run.  A `clique` passed in stands in for G's
+    side; the complement's side is then the only one, and runs on this
+    thread.  Before either side starts, `clique` must be a clique of G of
+    its stated size, and the witness of `subspace_report` a clique of G.
     """
     if budget is not None:
         require_budget(budget)
@@ -444,7 +511,10 @@ def chromatic_bracket(
     if clique is not None and (clique.witness.size != clique.size
                                or not verify_clique(G, clique.witness)):
         raise PreconditionError("clique outcome is not a clique of this graph of its stated size")
-    return _sides_and_bracket(G, budget, budget, subspace_report, clique)[2]
+    sides: List[_Side] = [] if clique is not None else [(G, budget, subspace_report)]
+    results = [_result(done) for done in _run_sides(sides + [(G.complement(), budget, None)])]
+    comp_rep, alpha, _ = results[-1]
+    return _bracket(G, clique if clique is not None else results[0][1], comp_rep, alpha, budget)
 
 
 def _bracket(G: CayleyGraph, clique: CliqueOutcome, comp_rep: SubspaceCliqueReport,

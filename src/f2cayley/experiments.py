@@ -25,8 +25,8 @@ from functools import lru_cache, partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cayley import MAX_N, MIN_N, sample_cayley
-from .cliques import _sides_and_bracket
-from .errors import InvariantError, PreconditionError
+from .cliques import _sides_and_brackets
+from .errors import InvariantError, PreconditionError, require_budget
 from .rng import derive_seed
 
 __all__ = [
@@ -286,8 +286,10 @@ class TrialRecord:
     """One sampled graph, fully determined by (n, seed) and the budgets.
 
     nodes totals the search nodes spent across the clique, independence and
-    coloring searches.  elapsed is wall time and is the only field allowed
-    to differ between reruns.
+    coloring searches.  elapsed is the seconds of the trial's own work
+    (sampling, both sides and the bracket, summed over the threads that ran
+    them, so trials that overlap may sum to more than the wall time) and is
+    the only field allowed to differ between reruns.
     """
 
     n: int
@@ -343,6 +345,41 @@ class TrialRecord:
         return rec
 
 
+def _records(ns: Sequence[int], seeds: Sequence[int], clique_budget: Optional[int],
+             chi_budget: Optional[int]) -> List[TrialRecord]:
+    """The trial record of each (n, seed), in order.
+
+    Every graph is sampled first; then all their sides go to one scheduler
+    call (`cliques._sides_and_brackets`), and the records are built and
+    checked in index order, so a failure raises the error a serial run
+    raises.  A record's `elapsed` is its trial's own work: sampling, both
+    sides and the bracket, summed over the threads that did them.
+    """
+    graphs, sampled = [], []
+    for n, seed in zip(ns, seeds):
+        t0 = time.perf_counter()
+        graphs.append(sample_cayley(n, seed))
+        sampled.append(time.perf_counter() - t0)
+    records = []
+    for G, sample_s, (rep, omega, chi, own_s) in zip(
+            graphs, sampled, _sides_and_brackets(graphs, clique_budget, chi_budget)):
+        t0 = time.perf_counter()
+        rec = TrialRecord(
+            n=G.n, seed=G.seed, a_size=len(G.generators),
+            omega_size=omega.size, omega_optimal=omega.optimal,
+            max_subspace_dim=rep.max_dim, m_counts=dict(rep.counts),
+            chi_lower=chi.lower, chi_upper=chi.upper, chi_exact=chi.exact,
+            predicted_omega=classify_n(G.n).predicted_omega,
+            elapsed=sample_s + own_s + time.perf_counter() - t0, nodes=chi.nodes,
+        )
+        try:
+            rec.validate()
+        except PreconditionError as exc:  # the trial's own result is broken: a bug
+            raise InvariantError(str(exc)) from exc
+        records.append(rec)
+    return records
+
+
 def run_trial(
     n: int,
     seed: int,
@@ -353,29 +390,13 @@ def run_trial(
 
     The graph's side (its subspace cliques, then omega within
     `clique_budget`) and the complement's side (its subspace cliques, then
-    alpha within `chi_budget`) each run once, and at once: the complement's
-    on a second thread that lives for this call, by the path
-    `chromatic_bracket(G)` takes, and the bracket is formed from the two.
-    The record, node counts included, is the one a serial run writes; only
-    `elapsed` differs.
+    alpha within `chi_budget`) each run once, and at once, on this thread
+    and a helper that lives for this call; the bracket is formed from the
+    two.  This is `run_experiment`'s path with one trial.  The record, node
+    counts included, is the one a serial run writes; only `elapsed`
+    differs.
     """
-    t0 = time.perf_counter()
-    G = sample_cayley(n, seed)
-    rep, omega, chi = _sides_and_bracket(G, clique_budget, chi_budget)
-    cls = classify_n(n)
-    rec = TrialRecord(
-        n=n, seed=seed, a_size=len(G.generators),
-        omega_size=omega.size, omega_optimal=omega.optimal,
-        max_subspace_dim=rep.max_dim, m_counts=dict(rep.counts),
-        chi_lower=chi.lower, chi_upper=chi.upper, chi_exact=chi.exact,
-        predicted_omega=cls.predicted_omega,
-        elapsed=time.perf_counter() - t0, nodes=chi.nodes,
-    )
-    try:
-        rec.validate()
-    except PreconditionError as exc:  # the trial's own result is broken: a bug
-        raise InvariantError(str(exc)) from exc
-    return rec
+    return _records([n], [seed], clique_budget, chi_budget)[0]
 
 
 def _integer(name: str, x) -> int:
@@ -384,6 +405,17 @@ def _integer(name: str, x) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise PreconditionError(f"config {name} must be an integer, got {x!r}")
     return x
+
+
+def _budget(name: str, x) -> Optional[int]:
+    """A config budget: null for none, else an integer >= 0 by the one rule
+    of errors.require_budget (0 stops a search before its first node)."""
+    if x is None:
+        return None
+    try:
+        return require_budget(x)
+    except PreconditionError as exc:
+        raise PreconditionError(f"config {name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -401,8 +433,6 @@ class ExperimentConfig:
             ns = tuple(_integer("ns entry", x) for x in d["ns"])
             trials = _integer("trials", d["trials"])
             base_seed = _integer("base_seed", d["base_seed"])
-            clique_budget, chi_budget = (None if d.get(k) is None else _integer(k, d[k])
-                                         for k in ("clique_budget", "chi_budget"))
             out_dir = d["out_dir"]
         except (KeyError, TypeError, ValueError) as exc:
             raise PreconditionError(f"invalid config: {exc}") from exc
@@ -412,9 +442,7 @@ class ExperimentConfig:
             raise PreconditionError(f"config ns must lie in [{MIN_N}, {MAX_N}]")
         if trials < 0:
             raise PreconditionError("config trials must be >= 0")
-        for name, b in (("clique_budget", clique_budget), ("chi_budget", chi_budget)):
-            if b is not None and b <= 0:
-                raise PreconditionError(f"config {name} must be a positive integer")
+        clique_budget, chi_budget = (_budget(k, d.get(k)) for k in ("clique_budget", "chi_budget"))
         return cls(ns=ns, trials=trials, base_seed=base_seed,
                    clique_budget=clique_budget, chi_budget=chi_budget,
                    out_dir=out_dir)
@@ -482,7 +510,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     Trial index runs over ns in order, trials within each n; the seed for
     trial index i is derive_seed(base_seed, i), so the record stream is a
     pure function of the config.  Records are written in index order no
-    matter how many workers computed them.
+    matter how many workers computed them.  With one worker, every trial's
+    two sides share one queue on two threads (`_records`), so a short side
+    of one trial overlaps the long side of another; with more, each process
+    runs one trial at a time, both its sides at once, as `run_trial` does.
     """
     if workers < 1:
         raise PreconditionError("run_experiment needs workers >= 1")
@@ -494,7 +525,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     seeds = [derive_seed(config.base_seed, i) for i in range(len(ns))]
     trial = partial(run_trial, clique_budget=config.clique_budget, chi_budget=config.chi_budget)
     if workers == 1 or len(ns) <= 1:
-        records = tuple(map(trial, ns, seeds))
+        records = tuple(_records(ns, seeds, config.clique_budget, config.chi_budget))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = tuple(pool.map(trial, ns, seeds))

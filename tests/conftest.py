@@ -5,8 +5,9 @@ import pytest
 
 
 @pytest.fixture(autouse=True)
-def no_complement_thread_left():
-    """Fail the test after which a trial's complement thread is still alive."""
+def no_side_thread_left():
+    """Fail the test after which a helper thread of the sides' scheduler is
+    still alive."""
     yield
-    left = [t for t in threading.enumerate() if t.name == "f2cayley-complement"]
-    assert not left, f"{len(left)} f2cayley-complement thread(s) outlived the test"
+    left = [t for t in threading.enumerate() if t.name == "f2cayley-sides"]
+    assert not left, f"{len(left)} f2cayley-sides thread(s) outlived the test"

@@ -1,5 +1,7 @@
 """Clique, independence and coloring machinery against brute-force oracles."""
+import json
 import random
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -11,12 +13,15 @@ from f2cayley import (
     CayleyGraph,
     Coloring,
     ElemSet,
+    ExperimentConfig,
     InvariantError,
     PreconditionError,
     Subspace,
     SubspaceCliqueReport,
+    TrialRecord,
     bits_of,
     chromatic_bracket,
+    classify_n,
     coset_coloring,
     derive_seed,
     gaussian_binomial,
@@ -24,10 +29,12 @@ from f2cayley import (
     independence_number,
     max_clique,
     rref,
+    run_experiment,
     run_trial,
     sample_cayley,
     subspace_cliques,
     subspace_members,
+    summarize,
     enumerate_subspaces,
     verify_clique,
     verify_coloring,
@@ -35,6 +42,7 @@ from f2cayley import (
     xor_shift,
 )
 from f2cayley import cliques
+from f2cayley.experiments import summary_header
 from f2cayley.gf2 import _levels
 from oracles import adjacency_masks, brute_chromatic, brute_max_clique
 
@@ -693,8 +701,8 @@ def test_invariant_checks_raise_on_broken_results(monkeypatch):
             chromatic_bracket(G)
 
 
-def _complement_threads():
-    return [t for t in threading.enumerate() if t.name == "f2cayley-complement"]
+def _side_threads():
+    return [t for t in threading.enumerate() if t.name == "f2cayley-sides"]
 
 
 def test_a_failing_side_raises_after_both_are_joined(monkeypatch):
@@ -735,13 +743,13 @@ def test_a_failing_side_raises_after_both_are_joined(monkeypatch):
                 run_trial(7, seed)
             with pytest.raises(error):
                 chromatic_bracket(G)
-            assert not _complement_threads() and threading.active_count() == before
+            assert not _side_threads() and threading.active_count() == before
             if "complement" in sides:
                 with pytest.raises(MemoryError):
                     chromatic_bracket(G, clique=omega)
             else:
                 assert chromatic_bracket(G, clique=omega) == br
-            assert not _complement_threads() and threading.active_count() == before
+            assert not _side_threads() and threading.active_count() == before
     assert chromatic_bracket(G) == chromatic_bracket(G, clique=omega) == br
 
 
@@ -775,7 +783,154 @@ def test_overlapped_sides_give_the_serial_answers():
                          rec.m_counts, rec.chi_lower, rec.chi_upper, rec.nodes)
                         == (omega.size, omega.optimal, rep.max_dim, rep.counts,
                             br.lower, br.upper, br.nodes)), (n, i, cb, xb)
-    assert not _complement_threads()
+    assert not _side_threads()
+
+
+def _gens(H):
+    return np.flatnonzero(H.generators.member_table())
+
+
+def test_the_first_error_in_serial_order_is_raised(monkeypatch, tmp_path):
+    # all four sides of two trials share one queue; a side that fails later
+    # in time but earlier in serial order wins, as a serial run meets it
+    # first: trial 0's graph side, its complement side, then trial 1's
+    G0, G1 = (sample_cayley(7, derive_seed(11, i)) for i in range(2))
+    side_gens = {"graph 0": _gens(G0), "complement 0": _gens(G0.complement()),
+                 "graph 1": _gens(G1), "complement 1": _gens(G1.complement())}
+    kernel = cliques._native.max_clique
+    cfg = ExperimentConfig.from_dict(dict(ns=[7], trials=2, base_seed=11, out_dir=str(tmp_path)))
+
+    def failing(slow, fast):
+        def wrapped(n, gens, *rest):
+            for side, when in ((slow, 0.1), (fast, 0)):
+                if np.array_equal(gens, side_gens[side]):
+                    time.sleep(when)  # the slow side fails after the fast one
+                    raise MemoryError(side)
+            return kernel(n, gens, *rest)
+        return wrapped
+
+    for slow, fast, raised in (("complement 0", "graph 1", "complement 0"),
+                               ("graph 1", "complement 0", "complement 0"),
+                               ("complement 1", "graph 0", "graph 0"),
+                               ("complement 1", "graph 1", "graph 1")):
+        with monkeypatch.context() as m:
+            m.setattr(cliques._native, "max_clique", failing(slow, fast))
+            with pytest.raises(MemoryError, match=f"^{raised}$"):
+                run_experiment(cfg)
+        assert not _side_threads()
+
+
+def test_an_interrupt_raised_by_a_side_starts_no_later_side(monkeypatch, tmp_path):
+    # trial 0's complement side is interrupted while its graph side is still
+    # running: no side of trials 1..3 starts, and the interrupt reaches the
+    # caller once the running side has ended
+    graphs = [sample_cayley(7, derive_seed(13, i)) for i in range(4)]
+    started = []
+    real = cliques.subspace_cliques
+
+    def interrupted(H):
+        started.append(H.generators.mask)
+        if H.generators.mask == graphs[0].generators.mask:
+            time.sleep(0.1)
+        elif H.generators.mask == graphs[0].complement().generators.mask:
+            raise KeyboardInterrupt
+        return real(H)
+
+    monkeypatch.setattr(cliques, "subspace_cliques", interrupted)
+    cfg = ExperimentConfig.from_dict(dict(ns=[7], trials=4, base_seed=13, out_dir=str(tmp_path)))
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(cfg)
+    assert sorted(started) == sorted(H.generators.mask for H in (graphs[0], graphs[0].complement()))
+    assert not _side_threads()
+    with pytest.raises(KeyboardInterrupt):
+        chromatic_bracket(graphs[0])
+    assert not _side_threads()
+
+
+def test_no_helper_thread_outlives_a_call(monkeypatch, tmp_path):
+    # a call with two sides or more runs them on this thread and one helper,
+    # which is gone when the call returns; a single side stays on this thread
+    G = sample_cayley(7, 5)
+    omega = max_clique(G)
+    cfg = ExperimentConfig.from_dict(dict(ns=[5, 6], trials=2, base_seed=4, out_dir=str(tmp_path)))
+    real = cliques._side
+    me = threading.current_thread()
+    before = threading.active_count()
+    for call, sides in ((lambda: run_experiment(cfg), 8), (lambda: run_trial(6, 3), 2),
+                        (lambda: chromatic_bracket(G), 2),
+                        (lambda: chromatic_bracket(G, clique=omega), 1)):
+        ran = []
+        second = threading.Event()
+
+        def recorded(*side):
+            ran.append(threading.current_thread())
+            if len(ran) > 1:
+                second.set()
+            elif sides > 1:  # hold the first side until the other thread takes one
+                assert second.wait(timeout=10)
+            return real(*side)
+
+        monkeypatch.setattr(cliques, "_side", recorded)
+        call()
+        helpers = {t for t in ran if t is not me}
+        assert len(ran) == sides
+        assert [t.name for t in helpers] == (["f2cayley-sides"] if sides > 1 else [])
+        assert not any(t.is_alive() for t in helpers)
+        assert not _side_threads() and threading.active_count() == before
+
+
+def test_every_side_runs_once_under_fast_thread_switching(monkeypatch):
+    # the two threads share one counter of sides taken; switching threads
+    # every microsecond, a lost update would run a side twice or not at all
+    ran = []
+
+    def fake(i, budget, report):
+        ran.append(i)
+        return i, budget, 0.0
+
+    monkeypatch.setattr(cliques, "_side", fake)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            ran.clear()
+            done = cliques._run_sides([(i, None, None) for i in range(500)])
+            assert sorted(ran) == list(range(500))
+            assert done == [(i, None, 0.0) for i in range(500)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert not _side_threads()
+
+
+def test_experiment_outputs_match_the_serial_sides(tmp_path):
+    # records.jsonl (but elapsed) and summary.csv are those of the sides run
+    # one after the other, trial by trial, at one worker and at two
+    ns = tuple(range(2, 10))
+    ns_flat = [n for n in ns for _ in range(3)]
+    for b in (None, 1, 50):
+        ref = []
+        for i, n in enumerate(ns_flat):
+            seed = derive_seed(23, i)
+            G = sample_cayley(n, seed)
+            rep, omega, br = _serial_sides(G, b, b)
+            ref.append(TrialRecord(
+                n=n, seed=seed, a_size=len(G.generators), omega_size=omega.size,
+                omega_optimal=omega.optimal, max_subspace_dim=rep.max_dim,
+                m_counts=dict(rep.counts), chi_lower=br.lower, chi_upper=br.upper,
+                chi_exact=br.exact, predicted_omega=classify_n(n).predicted_omega,
+                elapsed=0.0, nodes=br.nodes))
+        want = [{k: v for k, v in json.loads(r.to_json()).items() if k != "elapsed"} for r in ref]
+        summary = "\n".join([summary_header()] + summarize(ns, ref)) + "\n"
+        for workers in (1, 2):
+            cfg = ExperimentConfig(ns=ns, trials=3, base_seed=23, clique_budget=b, chi_budget=b,
+                                   out_dir=str(tmp_path / f"{b}-{workers}"))
+            res = run_experiment(cfg, workers=workers)
+            with open(res.records_path) as fh:
+                got = [{k: v for k, v in json.loads(line).items() if k != "elapsed"}
+                       for line in fh]
+            with open(res.summary_path) as fh:
+                assert (got, fh.read()) == (want, summary), (b, workers)
+    assert not _side_threads()
 
 
 def test_independence_on_perfect_matching():

@@ -320,13 +320,14 @@ def test_malformed_record_lines_raise_precondition_error(tmp_path):
 
 
 def test_run_trial_reports_its_own_broken_record_as_a_fault(tmp_path, monkeypatch):
-    real = experiments._sides_and_bracket
+    real = experiments._sides_and_brackets
 
     def broken(*args):  # M_1 no longer counts the generators
-        rep, omega, chi = real(*args)
-        return dataclasses.replace(rep, counts={**rep.counts, 1: rep.counts[1] + 1}), omega, chi
+        for rep, omega, chi, seconds in real(*args):
+            yield (dataclasses.replace(rep, counts={**rep.counts, 1: rep.counts[1] + 1}),
+                   omega, chi, seconds)
 
-    monkeypatch.setattr(experiments, "_sides_and_bracket", broken)
+    monkeypatch.setattr(experiments, "_sides_and_brackets", broken)
     with pytest.raises(InvariantError, match=r"m_counts\[1\]"):
         run_trial(5, 3)
     config = tmp_path / "config.json"
@@ -344,7 +345,7 @@ def test_run_trial_is_deterministic_up_to_timing():
 
 
 def test_trial_threads_are_gone_before_a_pool_forks(tmp_path):
-    # a trial starts and joins its own complement thread, so a process pool
+    # a trial starts and joins its own helper thread, so a process pool
     # forked after one copies no thread, and two workers write the bytes
     # one worker writes
     before = threading.active_count()
@@ -418,9 +419,9 @@ def test_config_validation():
         ExperimentConfig.from_dict(dict(ns=[1], trials=1, base_seed=0, out_dir="x"))
     with pytest.raises(PreconditionError):
         ExperimentConfig.from_dict(dict(ns=[4], trials=-1, base_seed=0, out_dir="x"))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="config chi_budget"):
         ExperimentConfig.from_dict(dict(ns=[4], trials=1, base_seed=0,
-                                        clique_budget=0, out_dir="x"))
+                                        chi_budget=-1, out_dir="x"))
     with pytest.raises(PreconditionError):
         ExperimentConfig.from_dict(dict(trials=1))
     # no silent coercion: booleans, floats and strings are refused
@@ -438,3 +439,22 @@ def test_config_validation():
             ExperimentConfig.from_dict({**good, "out_dir": bad})
     with pytest.raises(PreconditionError):
         ExperimentConfig.from_file("/nonexistent/config.json")
+
+
+def test_config_budget_zero_is_the_library_budget_zero(tmp_path):
+    # a budget is checked by the one rule of errors.require_budget: 0 stops
+    # every search before its first node, and null is no budget
+    def records(**budgets):
+        cfg = ExperimentConfig.from_dict(dict(ns=[4, 6], trials=2, base_seed=3,
+                                              out_dir=str(tmp_path), **budgets))
+        with open(run_experiment(cfg).records_path) as fh:
+            return [{k: v for k, v in json.loads(line).items() if k != "elapsed"} for line in fh]
+
+    zero = records(clique_budget=0, chi_budget=0)
+    assert zero == [{k: v for k, v in json.loads(run_trial(
+        n, derive_seed(3, i), clique_budget=0, chi_budget=0).to_json()).items() if k != "elapsed"}
+        for i, n in enumerate((4, 4, 6, 6))]
+    assert [r["nodes"] for r in zero] == [0] * 4
+    assert not all(r["omega_optimal"] for r in zero)
+    assert records(clique_budget=None, chi_budget=None) == records()
+    assert all(r["omega_optimal"] for r in records())
