@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="output format for the result record")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for the experiment runner")
+                   help="helper threads beside the main thread for the experiment runner")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("sample", help="sample a random Cayley graph")

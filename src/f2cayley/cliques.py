@@ -376,30 +376,29 @@ def _side(H: CayleyGraph, budget: Optional[int], report: Optional[SubspaceClique
     return rep, max_clique(H, budget=budget, subspace_report=rep), time.perf_counter() - t0
 
 
-def _run_sides(sides: Sequence[_Side]) -> List[Union[_SideResult, BaseException, None]]:
+def _run_sides(sides: Sequence[_Side], helpers: int = 1
+               ) -> List[Union[_SideResult, BaseException, None]]:
     """Run independent sides, each `_side(graph, budget, report)`, on the
-    calling thread and one helper thread.
+    calling thread and `min(helpers, len(sides) - 1)` helper threads.
 
-    Each thread takes the next side not yet taken, in index order, so both
-    cores stay busy until the last side starts, and the sides end within
-    half their total plus half the longest one (list scheduling; Graham
-    1966).
+    Each thread takes the next side not yet taken, in index order, so every
+    thread stays busy until the last side starts, and with t threads the
+    sides end within 1/t of their total plus (1 - 1/t) of the longest one
+    (list scheduling; Graham 1966).
     The sides spend their time in the C kernels, which ctypes calls with the
     GIL released and which keep all their state per call, so each search
     meets the nodes a serial run meets.
 
     The result holds, per side in index order, its (report, outcome,
     seconds) or the exception it raised.  Once a side raises, a
-    KeyboardInterrupt too, neither thread takes a new side, and the sides
-    never taken stay None.  Sides are taken in index order, so every side
-    before the first failure ran: a caller that reads the results in order
-    through `_result` raises the error a serial run raises.
+    KeyboardInterrupt too, no thread takes a new side, and the sides never
+    taken stay None.  Sides are taken in index order, so every side before
+    the first failure ran: a caller that reads the results in order through
+    `_result` raises the error a serial run raises.
 
-    A single side runs on the calling thread alone.  Otherwise the helper
-    lives for this call only: a pool kept across calls would be copied into
-    a forked worker process without its threads.  It is a daemon, so that an
-    interrupt of the wait for it is not held up by a search still running;
-    the helper then ends its side and takes no other.
+    The helpers live for this call only.  They are daemons, so that an
+    interrupt of the wait for them is not held up by a search still
+    running; each helper then ends its side and takes no other.
     """
     done: List[Union[_SideResult, BaseException, None]] = [None] * len(sides)
     lock = threading.Lock()
@@ -424,15 +423,15 @@ def _run_sides(sides: Sequence[_Side]) -> List[Union[_SideResult, BaseException,
                 stop()
                 return
 
-    if len(sides) < 2:
-        work()
-        return done
-    helper = threading.Thread(target=work, name="f2cayley-sides", daemon=True)
-    helper.start()
+    threads = [threading.Thread(target=work, name="f2cayley-sides", daemon=True)
+               for _ in range(min(helpers, len(sides) - 1))]
     try:
+        for t in threads:
+            t.start()
         work()
-        helper.join()
-    except BaseException:  # an interrupt of this thread: the helper takes no new side
+        for t in threads:
+            t.join()
+    except BaseException:  # an interrupt, or a failed start: no helper takes a new side
         stop()
         raise
     return done
@@ -446,7 +445,7 @@ def _result(done: Union[_SideResult, BaseException]) -> _SideResult:
 
 
 def _sides_and_brackets(graphs: Sequence[CayleyGraph], clique_budget: Optional[int],
-                        chi_budget: Optional[int]
+                        chi_budget: Optional[int], helpers: int = 1
                         ) -> Iterator[Tuple[SubspaceCliqueReport, CliqueOutcome,
                                             ChromaticBracket, float]]:
     """Each graph's subspace report, omega and chromatic bracket, in order,
@@ -454,12 +453,12 @@ def _sides_and_brackets(graphs: Sequence[CayleyGraph], clique_budget: Optional[i
 
     Every graph's two sides, G's (its subspace cliques, then omega within
     `clique_budget`) and then its complement's (its subspace cliques, then
-    alpha within `chi_budget`), go to one `_run_sides` call.  The results
-    are then read graph by graph, graph side, complement side, bracket, so
-    a failure raises the error a serial run raises, and nothing is yielded
-    before all sides are done.  The seconds are the complement's
-    construction, both sides and the bracket, summed over the threads that
-    ran them.
+    alpha within `chi_budget`), go to one `_run_sides` call with `helpers`
+    helper threads.  The results are then read graph by graph, graph side,
+    complement side, bracket, so a failure raises the error a serial run
+    raises, and nothing is yielded before all sides are done.  The seconds
+    are the complement's construction, both sides and the bracket, summed
+    over the threads that ran them.
     """
     sides: List[_Side] = []
     built = []
@@ -467,7 +466,7 @@ def _sides_and_brackets(graphs: Sequence[CayleyGraph], clique_budget: Optional[i
         t0 = time.perf_counter()
         sides += [(G, clique_budget, None), (G.complement(), chi_budget, None)]
         built.append(time.perf_counter() - t0)
-    done = _run_sides(sides)
+    done = _run_sides(sides, helpers)
     for i, G in enumerate(graphs):
         rep, omega, graph_s = _result(done[2 * i])
         comp_rep, alpha, comp_s = _result(done[2 * i + 1])

@@ -9,7 +9,8 @@ standard library's decimal module.  The density of that set up to n_max is
 counted exactly by bisecting for the n where the fractional part crosses
 its threshold.  The harness samples graphs, runs the clique and coloring
 machinery, and persists trial records whose bytes depend only on the config
-(timing excluded), regardless of worker count.
+(timing excluded), whatever the number of helper threads: every trial's two
+sides go to one queue, and the records are built in index order.
 """
 from __future__ import annotations
 
@@ -17,11 +18,10 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cayley import MAX_N, MIN_N, sample_cayley
@@ -346,14 +346,15 @@ class TrialRecord:
 
 
 def _records(ns: Sequence[int], seeds: Sequence[int], clique_budget: Optional[int],
-             chi_budget: Optional[int]) -> List[TrialRecord]:
+             chi_budget: Optional[int], helpers: int = 1) -> List[TrialRecord]:
     """The trial record of each (n, seed), in order.
 
     Every graph is sampled first; then all their sides go to one scheduler
-    call (`cliques._sides_and_brackets`), and the records are built and
-    checked in index order, so a failure raises the error a serial run
-    raises.  A record's `elapsed` is its trial's own work: sampling, both
-    sides and the bracket, summed over the threads that did them.
+    call (`cliques._sides_and_brackets`), run on this thread and up to
+    `helpers` helper threads, and the records are built and checked in
+    index order, so a failure raises the error a serial run raises.  A
+    record's `elapsed` is its trial's own work: sampling, both sides and
+    the bracket, summed over the threads that did them.
     """
     graphs, sampled = [], []
     for n, seed in zip(ns, seeds):
@@ -362,7 +363,7 @@ def _records(ns: Sequence[int], seeds: Sequence[int], clique_budget: Optional[in
         sampled.append(time.perf_counter() - t0)
     records = []
     for G, sample_s, (rep, omega, chi, own_s) in zip(
-            graphs, sampled, _sides_and_brackets(graphs, clique_budget, chi_budget)):
+            graphs, sampled, _sides_and_brackets(graphs, clique_budget, chi_budget, helpers)):
         t0 = time.perf_counter()
         rec = TrialRecord(
             n=G.n, seed=G.seed, a_size=len(G.generators),
@@ -403,7 +404,7 @@ def _integer(name: str, x) -> int:
     """x itself when it is an int; booleans, floats (2.0 too) and strings are
     refused rather than coerced."""
     if isinstance(x, bool) or not isinstance(x, int):
-        raise PreconditionError(f"config {name} must be an integer, got {x!r}")
+        raise PreconditionError(f"{name} must be an integer, got {x!r}")
     return x
 
 
@@ -430,9 +431,9 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         try:
-            ns = tuple(_integer("ns entry", x) for x in d["ns"])
-            trials = _integer("trials", d["trials"])
-            base_seed = _integer("base_seed", d["base_seed"])
+            ns = tuple(_integer("config ns entry", x) for x in d["ns"])
+            trials = _integer("config trials", d["trials"])
+            base_seed = _integer("config base_seed", d["base_seed"])
             out_dir = d["out_dir"]
         except (KeyError, TypeError, ValueError) as exc:
             raise PreconditionError(f"invalid config: {exc}") from exc
@@ -509,13 +510,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
 
     Trial index runs over ns in order, trials within each n; the seed for
     trial index i is derive_seed(base_seed, i), so the record stream is a
-    pure function of the config.  Records are written in index order no
-    matter how many workers computed them.  With one worker, every trial's
-    two sides share one queue on two threads (`_records`), so a short side
-    of one trial overlaps the long side of another; with more, each process
-    runs one trial at a time, both its sides at once, as `run_trial` does.
+    pure function of the config.  Every trial's two sides share one queue
+    (`_records`) that this thread and `workers` helper threads take from,
+    so a short side of one trial overlaps the long side of another; a call
+    with s sides starts at most s - 1 helpers.  Records are written in
+    index order, the same bytes for every `workers`.
     """
-    if workers < 1:
+    if _integer("run_experiment workers", workers) < 1:
         raise PreconditionError("run_experiment needs workers >= 1")
     try:
         os.makedirs(config.out_dir, exist_ok=True)
@@ -523,12 +524,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
         raise PreconditionError(f"cannot create {config.out_dir!r}: {exc}") from exc
     ns = [n for n in config.ns for _ in range(config.trials)]
     seeds = [derive_seed(config.base_seed, i) for i in range(len(ns))]
-    trial = partial(run_trial, clique_budget=config.clique_budget, chi_budget=config.chi_budget)
-    if workers == 1 or len(ns) <= 1:
-        records = tuple(_records(ns, seeds, config.clique_budget, config.chi_budget))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = tuple(pool.map(trial, ns, seeds))
+    records = tuple(_records(ns, seeds, config.clique_budget, config.chi_budget, workers))
 
     records_path = os.path.join(config.out_dir, "records.jsonl")
     summary_path = os.path.join(config.out_dir, "summary.csv")

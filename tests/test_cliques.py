@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -791,9 +792,10 @@ def _gens(H):
 
 
 def test_the_first_error_in_serial_order_is_raised(monkeypatch, tmp_path):
-    # all four sides of two trials share one queue; a side that fails later
-    # in time but earlier in serial order wins, as a serial run meets it
-    # first: trial 0's graph side, its complement side, then trial 1's
+    # all four sides of two trials share one queue, on one helper or on
+    # three; a side that fails later in time but earlier in serial order
+    # wins, as a serial run meets it first: trial 0's graph side, its
+    # complement side, then trial 1's
     G0, G1 = (sample_cayley(7, derive_seed(11, i)) for i in range(2))
     side_gens = {"graph 0": _gens(G0), "complement 0": _gens(G0.complement()),
                  "graph 1": _gens(G1), "complement 1": _gens(G1.complement())}
@@ -813,11 +815,12 @@ def test_the_first_error_in_serial_order_is_raised(monkeypatch, tmp_path):
                                ("graph 1", "complement 0", "complement 0"),
                                ("complement 1", "graph 0", "graph 0"),
                                ("complement 1", "graph 1", "graph 1")):
-        with monkeypatch.context() as m:
-            m.setattr(cliques._native, "max_clique", failing(slow, fast))
-            with pytest.raises(MemoryError, match=f"^{raised}$"):
-                run_experiment(cfg)
-        assert not _side_threads()
+        for workers in (1, 3):
+            with monkeypatch.context() as m:
+                m.setattr(cliques._native, "max_clique", failing(slow, fast))
+                with pytest.raises(MemoryError, match=f"^{raised}$"):
+                    run_experiment(cfg, workers=workers)
+            assert not _side_threads()
 
 
 def test_an_interrupt_raised_by_a_side_starts_no_later_side(monkeypatch, tmp_path):
@@ -879,6 +882,98 @@ def test_no_helper_thread_outlives_a_call(monkeypatch, tmp_path):
         assert not _side_threads() and threading.active_count() == before
 
 
+def test_an_interrupt_with_three_helpers_starts_no_side_after_the_running_ones(
+        monkeypatch, tmp_path):
+    # four threads take the sides of trials 0 and 1 at once; trial 0's
+    # complement side is interrupted once all four have started, while the
+    # other three still run: no side of trials 2 and 3 starts, and the
+    # interrupt reaches the caller once the running sides have ended
+    graphs = [sample_cayley(7, derive_seed(13, i)) for i in range(4)]
+    first = [H.generators.mask for G in graphs[:2] for H in (G, G.complement())]
+    started = []
+    all_started = threading.Event()
+    real = cliques.subspace_cliques
+
+    def interrupted(H):
+        started.append(H.generators.mask)
+        if len(started) == len(first):
+            all_started.set()
+        if H.generators.mask == first[1]:
+            all_started.wait(timeout=10)
+            raise KeyboardInterrupt
+        if H.generators.mask in first:
+            time.sleep(0.1)
+        return real(H)
+
+    monkeypatch.setattr(cliques, "subspace_cliques", interrupted)
+    cfg = ExperimentConfig.from_dict(dict(ns=[7], trials=4, base_seed=13, out_dir=str(tmp_path)))
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(cfg, workers=3)
+    assert sorted(started) == sorted(first)
+    assert not _side_threads()
+
+
+def test_no_helper_thread_outlives_an_experiment_on_four_helpers(monkeypatch, tmp_path):
+    # the first five of eight sides meet at a barrier, so this thread and
+    # four helpers each take one; every helper is gone when the call returns
+    cfg = ExperimentConfig.from_dict(dict(ns=[5, 6], trials=2, base_seed=4, out_dir=str(tmp_path)))
+    real = cliques._side
+    me = threading.current_thread()
+    before = threading.active_count()
+    ran = []
+    barrier = threading.Barrier(5)
+
+    def recorded(*side):
+        ran.append(threading.current_thread())
+        if len(ran) <= 5:
+            barrier.wait(timeout=10)
+        return real(*side)
+
+    monkeypatch.setattr(cliques, "_side", recorded)
+    run_experiment(cfg, workers=4)
+    helpers = {t for t in ran if t is not me}
+    assert len(ran) == 8 and me in ran
+    assert len(helpers) == 4 and {t.name for t in helpers} == {"f2cayley-sides"}
+    assert not any(t.is_alive() for t in helpers)
+    assert not _side_threads() and threading.active_count() == before
+
+
+def test_a_call_starts_no_more_helpers_than_sides_less_one(monkeypatch, tmp_path):
+    # eight helpers asked for: a one-trial experiment has two sides and
+    # starts one helper, an experiment of no trials starts none
+    starts = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            starts.append(self.name)
+            super().start()
+
+    real = cliques._side
+    ran = []
+    second = threading.Event()
+
+    def recorded(*side):
+        ran.append(threading.current_thread())
+        if len(ran) > 1:
+            second.set()
+        else:  # hold the first side until the other thread takes one
+            assert second.wait(timeout=10)
+        return real(*side)
+
+    monkeypatch.setattr(cliques, "threading",
+                        SimpleNamespace(Thread=Counted, Lock=threading.Lock))
+    monkeypatch.setattr(cliques, "_side", recorded)
+    for trials, helpers in ((1, 1), (0, 0)):
+        starts.clear()
+        ran.clear()
+        cfg = ExperimentConfig.from_dict(dict(ns=[6], trials=trials, base_seed=2,
+                                              out_dir=str(tmp_path / str(trials))))
+        assert len(run_experiment(cfg, workers=8).records) == trials
+        assert starts == ["f2cayley-sides"] * helpers
+        assert len(ran) == len(set(ran)) == 2 * trials
+    assert not _side_threads()
+
+
 def test_every_side_runs_once_under_fast_thread_switching(monkeypatch):
     # the two threads share one counter of sides taken; switching threads
     # every microsecond, a lost update would run a side twice or not at all
@@ -904,7 +999,7 @@ def test_every_side_runs_once_under_fast_thread_switching(monkeypatch):
 
 def test_experiment_outputs_match_the_serial_sides(tmp_path):
     # records.jsonl (but elapsed) and summary.csv are those of the sides run
-    # one after the other, trial by trial, at one worker and at two
+    # one after the other, trial by trial, at one, two and four helpers
     ns = tuple(range(2, 10))
     ns_flat = [n for n in ns for _ in range(3)]
     for b in (None, 1, 50):
@@ -921,7 +1016,7 @@ def test_experiment_outputs_match_the_serial_sides(tmp_path):
                 elapsed=0.0, nodes=br.nodes))
         want = [{k: v for k, v in json.loads(r.to_json()).items() if k != "elapsed"} for r in ref]
         summary = "\n".join([summary_header()] + summarize(ns, ref)) + "\n"
-        for workers in (1, 2):
+        for workers in (1, 2, 4):
             cfg = ExperimentConfig(ns=ns, trials=3, base_seed=23, clique_budget=b, chi_budget=b,
                                    out_dir=str(tmp_path / f"{b}-{workers}"))
             res = run_experiment(cfg, workers=workers)

@@ -344,10 +344,9 @@ def test_run_trial_is_deterministic_up_to_timing():
     assert a.omega_size >= 1 << a.max_subspace_dim
 
 
-def test_trial_threads_are_gone_before_a_pool_forks(tmp_path):
-    # a trial starts and joins its own helper thread, so a process pool
-    # forked after one copies no thread, and two workers write the bytes
-    # one worker writes
+def test_every_thread_count_writes_the_same_bytes(tmp_path):
+    # a trial starts and joins its own helper thread, and two or four
+    # helpers write the bytes one helper writes
     before = threading.active_count()
     run_trial(8, 5)
     assert threading.active_count() == before
@@ -363,6 +362,7 @@ def test_trial_threads_are_gone_before_a_pool_forks(tmp_path):
             return json.dumps(records, sort_keys=True), fh.read()
 
     assert outputs(2) == outputs(1)
+    assert outputs(4) == outputs(1)
     assert threading.active_count() == before
 
 
@@ -439,6 +439,20 @@ def test_config_validation():
             ExperimentConfig.from_dict({**good, "out_dir": bad})
     with pytest.raises(PreconditionError):
         ExperimentConfig.from_file("/nonexistent/config.json")
+
+
+def test_run_experiment_refuses_a_workers_that_is_not_a_positive_integer(tmp_path):
+    # the rule of the config's integers: a bool, a float (2.0 too) or a
+    # string is refused before any output directory is made, not coerced
+    cfg = ExperimentConfig.from_dict(dict(ns=[4], trials=3, base_seed=0,
+                                          out_dir=str(tmp_path / "out")))
+    for bad in (True, 1.5, 2.0, "2"):
+        with pytest.raises(PreconditionError, match="workers must be an integer"):
+            run_experiment(cfg, workers=bad)
+    for bad in (0, -1):
+        with pytest.raises(PreconditionError, match="workers >= 1"):
+            run_experiment(cfg, workers=bad)
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_budget_zero_is_the_library_budget_zero(tmp_path):

@@ -44,3 +44,19 @@ def test_only_gf2_converts_set_masks_to_bytes():
              if isinstance(node, ast.Call)
              and getattr(node.func, "attr", getattr(node.func, "id", None)) in byte_calls]
     assert not found, f"mask-to-byte conversions outside gf2: {found}"
+
+
+def test_no_module_imports_a_process_or_futures_pool():
+    # every scheduling runs through cliques._run_sides, one thread queue;
+    # a second path would make byte-identity across --threads a test
+    # rather than a property of the code
+    banned = ("concurrent", "multiprocessing")
+    src = pathlib.Path(f2cayley.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             for name in ([a.name for a in node.names] if isinstance(node, ast.Import)
+                          else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                          else [])
+             if name.split(".")[0] in banned]
+    assert not found, f"pool imports in the package: {found}"
