@@ -18,16 +18,21 @@
  * In the clique search, each graph searched, the root's on A and each root
  * branch's on P2, is labelled 0..k-1 in increasing order of its vertices and
  * held as k rows of nw = ceil(k / 64) words (BBMC, San Segundo et al. 2011).
- * Every row is a set compressed by a mask, one 64-bit word at a time
- * (Warren, Hacker's Delight, 7-4): the bits under the mask, in order, packed
- * to the low end.  The root's row u is A's indicator translated by A[u] and
- * compressed by A itself, so it has w iff A[u] + A[w] lies in A.  It is then
- * kept as the running root adjacency over D, the root candidates not yet
- * branched: once the branch on v is done, the pairs of D whose sum is v are
- * cleared.  A root branch's P2 is D's mask and v's row, and each of its rows
- * is that root row compressed by P2's mask.  A node colors its candidates
- * greedily, class by class, and lists only the vertices of color at least
- * kmin = best - |R| + 1 (MCQ, Tomita & Kameda 2007).
+ * Every row is a set compressed by a mask, one 64-bit word at a time: the
+ * bits under the mask, in order, packed to the low end.  That is one BMI2
+ * pext a word on an x86-64 CPU with a fast one, checked once per search, and
+ * otherwise Warren's six steps (Hacker's Delight, 7-4).  Both give the same
+ * rows, and only the pext packer is built for BMI2, so the library runs on
+ * any CPU of its architecture.  The root's row u is A's indicator translated
+ * by A[u] and compressed by A itself, so it has w iff A[u] + A[w] lies in A.
+ * It is then kept as the running root adjacency over D, the root candidates
+ * not yet branched: once the branch on v is done, the pairs of D whose sum
+ * is v are cleared.  A root branch's P2 is D's mask and v's row, and each of
+ * its rows is that root row compressed by P2's mask.  A node colors its
+ * candidates greedily, class by class, and lists only the vertices of color
+ * at least kmin = best - |R| + 1 (MCQ, Tomita & Kameda 2007).  The coloring
+ * is compiled once for each row width of 1 to 4 words, with its sets in
+ * registers, and once for wider rows; every width colors in the same order.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -111,15 +116,16 @@ static word compress(word x, const mask_word *w)
     return x;
 }
 
-/* The words src[masks[t].j] (t < nj) compressed by their masks and packed
- * into out, low bits first: ceil(total count / 64) words. */
-static void pack_row(word *out, const word *src, const mask_word *masks, int32_t nj)
+/* The words src[masks[t].j] (t < nj), each compressed by its mask word
+ * with comp, packed into out, low bits first: ceil(total count / 64) words. */
+static inline void pack_words(word *out, const word *src, const mask_word *masks, int32_t nj,
+                              word (*comp)(word, const mask_word *))
 {
     word acc = 0;
     int32_t sh = 0;
     for (int32_t t = 0; t < nj; t++) {
         const mask_word *w = masks + t;
-        word x = compress(src[w->j], w);
+        word x = comp(src[w->j], w);
         acc |= x << sh;
         sh += w->cnt;
         if (sh >= 64) {  /* a full word: carry the bits of x past it */
@@ -132,6 +138,48 @@ static void pack_row(word *out, const word *src, const mask_word *masks, int32_t
         *out = acc;
 }
 
+typedef void packer(word *out, const word *src, const mask_word *masks, int32_t nj);
+
+static void pack_row(word *out, const word *src, const mask_word *masks, int32_t nj)
+{
+    pack_words(out, src, masks, nj, compress);
+}
+
+/* The same with BMI2's pext, one instruction a word in place of six steps.
+ * Only this function is built for BMI2, and only a search on a CPU where
+ * pext_is_fast holds calls it, so the library runs on any x86-64. */
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+
+__attribute__((target("bmi2")))
+static inline word compress_pext(word x, const mask_word *w)
+{
+    return _pext_u64(x, w->mask);
+}
+
+__attribute__((target("bmi2")))
+static void pack_row_pext(word *out, const word *src, const mask_word *masks, int32_t nj)
+{
+    pack_words(out, src, masks, nj, compress_pext);
+}
+
+/* BMI2 is there and its pext is not microcoded, as it is on AMD families
+ * 15h and 17h (Excavator, Zen 1 and 2), where the six steps are faster. */
+static int pext_is_fast(void)
+{
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("bmi2") && !__builtin_cpu_is("amdfam15h")
+           && !__builtin_cpu_is("amdfam17h");
+}
+#else
+#define pack_row_pext pack_row
+
+static int pext_is_fast(void)
+{
+    return 0;
+}
+#endif
+
 /* The root's graph kept over D: for labels a, b both in D, bit b of row a
  * is set iff A[a] + A[b] lies in D. */
 typedef struct {
@@ -140,6 +188,7 @@ typedef struct {
     int32_t nw0;
     mask_word *P2;    /* the nonzero words of A's indicator, then of the current branch's P2 */
     int32_t *rows;    /* local index -> root label, in the current branch */
+    packer *pack;     /* pack_row or pack_row_pext, chosen once per search */
 } root_state;
 
 /* The branch on the root label a: P2 = D & row a, its elements into
@@ -163,7 +212,7 @@ static int32_t branch_graph(search *s, root_state *rt, int32_t a, const int32_t 
     int32_t nw = (k2 + 63) >> 6;
     s->nw = nw;
     for (int32_t u = 0; u < k2; u++)
-        pack_row(s->adj + (size_t)u * nw, rt->adj + (size_t)rt->rows[u] * rt->nw0, rt->P2, nj);
+        rt->pack(s->adj + (size_t)u * nw, rt->adj + (size_t)rt->rows[u] * rt->nw0, rt->P2, nj);
     return k2;
 }
 
@@ -179,13 +228,43 @@ static void drop_root_label(root_state *rt, const int32_t *partner, int32_t a, i
     rt->D[a >> 6] &= ~BIT(a);
 }
 
+/* Word j of one color class: take its vertices lowest first from a local q,
+ * each removing its neighbours from the class's later words. */
+static inline void color_word(const search *s, word *U, word *Q, int32_t j, int32_t nw,
+                              int32_t color, int32_t kmin, int64_t *left, item *out,
+                              size_t *count)
+{
+    for (word q = Q[j]; q;) {
+        int32_t v = (j << 6) + __builtin_ctzll(q);
+        const word *row = s->adj + (size_t)v * nw;
+        U[j] &= ~BIT(v);
+        (*left)--;
+        q &= ~row[j] & ~BIT(v);
+        for (int32_t t = j + 1; t < nw; t++)
+            Q[t] &= ~row[t];
+        if (color >= kmin) {
+            out[*count].v = v;
+            out[*count].color = color;
+            (*count)++;
+        }
+    }
+}
+
 /* Color P class by class, stacking the vertices of color >= kmin in the
  * order colored; stop once the classes done plus the candidates left fall
- * short of kmin.  Sets *m to the number stacked. */
-static int color_order(search *s, const word *P, int32_t kmin, size_t *m)
+ * short of kmin.  Sets *m to the number stacked.  color_order calls this
+ * body with the constants nw = 1..4, so each width is compiled on its own,
+ * and with s->nw for wider rows.  For nw <= 4 the uncolored set U and the
+ * class's candidates Q are local arrays read only at constant indices, so
+ * they stay in registers; a class takes all of U's words, as those below
+ * its first nonzero one are empty.  Wider rows keep U and Q in s->scratch
+ * and start at that word.  Either way the items come out in the same
+ * order. */
+static inline int color_order_nw(search *s, const word *P, int32_t kmin, size_t *m, int32_t nw)
 {
-    int32_t nw = s->nw, lo = 0, color = 0;
-    word *U = s->scratch, *Q = s->scratch + nw;
+    word fixed[8];
+    word *U = nw <= 4 ? fixed : s->scratch, *Q = U + nw;
+    int32_t lo = 0, color = 0;
     int64_t left = 0;
     for (int32_t j = 0; j < nw; j++) {
         U[j] = P[j];
@@ -205,28 +284,42 @@ static int color_order(search *s, const word *P, int32_t kmin, size_t *m)
         color++;
         if (color - 1 + left < kmin)
             break;
-        while (!U[lo])
-            lo++;
-        memcpy(Q + lo, U + lo, (size_t)(nw - lo) * sizeof(word));
-        for (int32_t j = lo; j < nw; j++) {
-            while (Q[j]) {
-                int32_t v = (j << 6) + __builtin_ctzll(Q[j]);
-                const word *row = s->adj + (size_t)v * nw;
-                U[j] &= ~BIT(v);
-                left--;
-                Q[j] &= ~row[j] & ~BIT(v);
-                for (int32_t t = j + 1; t < nw; t++)
-                    Q[t] &= ~row[t];
-                if (color >= kmin) {
-                    out[count].v = v;
-                    out[count].color = color;
-                    count++;
-                }
-            }
+        if (nw > 4)
+            while (!U[lo])
+                lo++;
+        for (int32_t j = lo; j < nw; j++)
+            Q[j] = U[j];
+        if (nw > 4) {
+            for (int32_t j = lo; j < nw; j++)
+                color_word(s, U, Q, j, nw, color, kmin, &left, out, &count);
+        } else {
+            color_word(s, U, Q, 0, nw, color, kmin, &left, out, &count);
+            if (nw > 1)
+                color_word(s, U, Q, 1, nw, color, kmin, &left, out, &count);
+            if (nw > 2)
+                color_word(s, U, Q, 2, nw, color, kmin, &left, out, &count);
+            if (nw > 3)
+                color_word(s, U, Q, 3, nw, color, kmin, &left, out, &count);
         }
     }
     *m = count;
     return SEARCH_DONE;
+}
+
+static int color_order(search *s, const word *P, int32_t kmin, size_t *m)
+{
+    switch (s->nw) {
+    case 1:
+        return color_order_nw(s, P, kmin, m, 1);
+    case 2:
+        return color_order_nw(s, P, kmin, m, 2);
+    case 3:
+        return color_order_nw(s, P, kmin, m, 3);
+    case 4:
+        return color_order_nw(s, P, kmin, m, 4);
+    default:
+        return color_order_nw(s, P, kmin, m, s->nw);
+    }
 }
 
 /* The node with clique r[0..r_size) and candidates P = pstack[depth]; the
@@ -291,6 +384,7 @@ int f2c_max_clique(int32_t n, const int32_t *A, int32_t k, int32_t seed_size,
     s.budget = budget;
     s.witness = witness;
     rt.nw0 = nw0;
+    rt.pack = pext_is_fast() ? pack_row_pext : pack_row;
     word *ind = calloc(2 * (size_t)nw, sizeof(word)), *moved = ind + nw;
     s.idx = malloc((size_t)N * sizeof(int32_t));
     s.partner = malloc((size_t)(k + 1) * sizeof(int32_t));
@@ -321,7 +415,7 @@ int f2c_max_clique(int32_t n, const int32_t *A, int32_t k, int32_t seed_size,
         int32_t o = A[u] >> 6, t = A[u] & 63;
         for (int32_t i = 0; i < nj; i++)
             moved[rt.P2[i].j] = shift_in_word(ind[rt.P2[i].j ^ o], t);
-        pack_row(rt.adj + (size_t)u * nw0, moved, rt.P2, nj);
+        rt.pack(rt.adj + (size_t)u * nw0, moved, rt.P2, nj);
     }
 
     /* the root: clique {0}, candidates D = A, kmin = best */

@@ -8,6 +8,12 @@ the sha256 of the source and the compile command.  Each compile writes its own
 temporary file and renames it into place, so concurrent first imports all end
 with the one library.  There is no fallback: a failed compile fails the import
 with the compiler's stderr.
+
+The command names no target CPU, so the library runs on any machine of the
+compiler's architecture and its tag does not depend on the CPU that built
+it: a shared __pycache__ serves every host.  The one CPU-specific part is
+chosen at run time: on x86-64 each clique search checks once whether the CPU
+has a fast BMI2 pext and, if so, packs its rows with it (`_clique.c`).
 """
 from __future__ import annotations
 

@@ -439,7 +439,9 @@ def test_max_clique_matches_global_label_reference():
     # (at n = 9) must miss a whole 64-label word of the root below one it
     # holds, a word the compression skips; the budgets at half and all but
     # one of a full search stop it after root branches have cleared their
-    # pairs from the root's graph, at least 19 of them at all but one.
+    # pairs from the root's graph, at least 19 of them at all but one.  The
+    # graphs colored have rows of ceil(k / 64) words: every width that
+    # color_order specializes (1-4) and at least one wider, its generic path.
     sizes, skips, done_at_stop = [], 0, []
     for n, i in ((8, 0), (8, 1), (9, 0)):
         G = sample_cayley(n, derive_seed(11, i))
@@ -464,6 +466,8 @@ def test_max_clique_matches_global_label_reference():
     assert {64, 128} <= set(sizes)
     assert skips
     assert min(done_at_stop) >= 19
+    widths = {(k + 63) // 64 for k in sizes}
+    assert {1, 2, 3, 4} <= widths and max(widths) > 4
     # at n = 2..6 A's indicator is one word, partly filled below n = 6, and
     # each root row is that word translated inside itself
     for n in range(2, 7):
