@@ -70,12 +70,14 @@ static const word LOW[6] = {
     0x00FF00FF00FF00FFULL, 0x0000FFFF0000FFFFULL, 0x00000000FFFFFFFFULL,
 };
 
-/* Permute the bits of one word by the translation x -> x + t, t < 64. */
+/* Permute the bits of one word by the translation x -> x + t, t < 64: one
+ * swap of bit blocks for each set bit of t. */
 static word shift_in_word(word x, int32_t t)
 {
-    for (int32_t s = 0; s < 6; s++)
-        if (t >> s & 1)
-            x = ((x >> (1 << s)) & LOW[s]) | ((x & LOW[s]) << (1 << s));
+    for (; t; t &= t - 1) {
+        int32_t s = __builtin_ctz((uint32_t)t);
+        x = ((x >> (1 << s)) & LOW[s]) | ((x & LOW[s]) << (1 << s));
+    }
     return x;
 }
 
@@ -484,12 +486,21 @@ done:
 /* ---- subspace cliques --------------------------------------------------
  * The orderly search of cliques.subspace_cliques, whose docstring argues it:
  * the same nodes in the same order, so the counts and the first deepest
- * basis are those of a search over Python ints, on sets of 2^n bits. */
+ * basis are those of a search over Python ints, on sets of 2^n bits.
+ *
+ * Each node holds W(H), one row per depth.  Its elig is given by its
+ * pivots and is never stored: the v above the last pivot pd that are zero
+ * at every pivot.  A pivot p >= 6 is bit p - 6 of the word index, so elig
+ * is zero on every word below word_from(pd + 1) or with a bit of hi, the
+ * OR of those bits, and the node walks only the other words, its
+ * candidate words.  A pivot p < 6 is bit p inside a word, so on each
+ * candidate word elig is low, the AND of LOW[p] over those pivots (and of
+ * the 2^n bits of the one word for n < 6), cut in word 0 below 2^(pd + 1).
+ * W is exact on the node's candidate words; no other word of it is read. */
 
 typedef struct {
     int32_t n, nw;
-    word *W, *E;      /* W(H) and elig of the node at each depth, nw words each */
-    word *step;       /* step[p], p < n - 1: the v with bit p zero, top bit above p */
+    word *W;          /* W(H) of the node at each depth, nw words each */
     int32_t rows[32]; /* basis of the current H, pivots increasing; n <= 30 */
     int32_t *best;    /* first basis met at the deepest dimension so far */
     int32_t best_len;
@@ -500,6 +511,18 @@ typedef struct {
 static int32_t word_from(int32_t q)
 {
     return q < 6 ? 0 : (int32_t)1 << (q - 6);
+}
+
+/* The candidate word after j: the next index with no bit of hi. */
+static inline int32_t next_word(int32_t j, int32_t hi)
+{
+    return ((j | hi) + 1) & ~hi;
+}
+
+/* elig on word 0 of a node with elig low elsewhere and last pivot q - 1. */
+static inline word elig0(word low, int32_t q)
+{
+    return q < 6 ? low & ~(BIT(1 << q) - 1) : low;
 }
 
 /* Every descendant of the node with d rows and last pivot pd qualifies (its
@@ -524,25 +547,24 @@ static void closed_form(subspace_search *s, int32_t d, int32_t pd)
     }
 }
 
-/* The node H with rows[0..d) and last pivot pd (-1 at the root).  Its W
- * and elig are exact on every word where elig is nonzero; other words are
- * never read.  The children are H + <v> for v in W & elig. */
-static void grow(subspace_search *s, int32_t d, int32_t pd)
+/* The node H with rows[0..d), last pivot pd (-1 at the root) and elig
+ * given by hi and low.  The children are H + <v> for v in W & elig. */
+static void grow(subspace_search *s, int32_t d, int32_t pd, int32_t hi, word low)
 {
-    int32_t n = s->n, nw = s->nw, lo = word_from(pd + 1);
-    const word *W = s->W + (size_t)d * nw, *E = s->E + (size_t)d * nw;
-    word *W2 = s->W + (size_t)(d + 1) * nw, *E2 = s->E + (size_t)(d + 1) * nw;
+    int32_t n = s->n, nw = s->nw;
+    const word *W = s->W + (size_t)d * nw;
+    word *W2 = s->W + (size_t)(d + 1) * nw, low0 = elig0(low, pd + 1);
     int64_t c = 0;
     int32_t first = -1;
     word missing = 0;
-    for (int32_t j = lo; j < nw; j++) {
-        word cand = W[j] & E[j];
+    for (int32_t j = word_from(pd + 1); j < nw; j = next_word(j, hi)) {
+        word e = j ? low : low0, cand = W[j] & e;
         if (cand) {
             c += __builtin_popcountll(cand);
             if (first < 0)
                 first = (j << 6) + __builtin_ctzll(cand);
         }
-        missing |= E[j] & ~W[j];
+        missing |= e & ~W[j];
     }
     if (!c)
         return;
@@ -557,33 +579,30 @@ static void grow(subspace_search *s, int32_t d, int32_t pd)
         s->best_len = d + 1;
     }
     for (int32_t p = 31 - __builtin_clz((uint32_t)first); p < n - 1; p++) {
-        /* the v with pivot p: words [j0, j1), masked by bmask when p < 6 */
+        /* the v with pivot p: candidate words [j0, j1), masked by bmask,
+         * which is low (word 0's cut lies below 2^p) and for p < 6 the
+         * bits 2^p..2^(p+1) - 1 */
         int32_t j0 = word_from(p), j1 = p < 6 ? 1 : word_from(p + 1);
-        word bmask = p < 6 ? (BIT(1 << p) - 1) << (1 << p) : ~(word)0;
+        word bmask = low & (p < 6 ? (BIT(1 << p) - 1) << (1 << p) : ~(word)0);
         word any = 0;
-        for (int32_t j = j0; j < j1; j++)
-            any |= W[j] & E[j] & bmask;
+        for (int32_t j = j0; j < j1; j = next_word(j, hi))
+            any |= W[j] & bmask;
         if (!any)
             continue;
-        int32_t lo2 = word_from(p + 1);
-        const word *step = s->step + (size_t)p * nw;
+        int32_t lo2 = word_from(p + 1), hi2 = p < 6 ? hi : hi | (int32_t)1 << (p - 6);
+        word low2 = p < 6 ? low & LOW[p] : low, low20 = elig0(low2, p + 1);
         any = 0;
-        for (int32_t j = lo2; j < nw; j++) {
-            E2[j] = E[j] & step[j];
-            any |= W[j] & E2[j];
-        }
+        for (int32_t j = lo2; j < nw; j = next_word(j, hi2))
+            any |= W[j] & (j ? low2 : low20);
         if (!any)  /* W only shrinks, so no child of pivot p can grow */
             continue;
-        for (int32_t j = j0; j < j1; j++) {
-            word block = W[j] & E[j] & bmask;
-            while (block) {
+        for (int32_t j = j0; j < j1; j = next_word(j, hi)) {
+            for (word block = W[j] & bmask; block; block &= block - 1) {
                 int32_t v = (j << 6) + __builtin_ctzll(block), o = v >> 6, t = v & 63;
-                block &= block - 1;
-                for (int32_t i = lo2; i < nw; i++)
-                    if (E2[i])
-                        W2[i] = W[i] & shift_in_word(W[i ^ o], t);
+                for (int32_t i = lo2; i < nw; i = next_word(i, hi2))
+                    W2[i] = W[i] & shift_in_word(W[i ^ o], t);
                 s->rows[d] = v;
-                grow(s, d + 1, p);
+                grow(s, d + 1, p, hi2, low2);
             }
         }
     }
@@ -597,38 +616,19 @@ static void grow(subspace_search *s, int32_t d, int32_t pd)
 int f2c_subspaces(int32_t n, const int32_t *A, int32_t k, int64_t *counts, int32_t *witness)
 {
     int32_t N = (int32_t)1 << n, nw = N < 64 ? 1 : N >> 6;
-    word full = N < 64 ? BIT(N) - 1 : ~(word)0;
     subspace_search s = {0};
     s.n = n;
     s.nw = nw;
     s.counts = counts;
     s.best = witness;
     s.W = calloc((size_t)(n + 1) * nw, sizeof(word));
-    s.E = calloc((size_t)(n + 1) * nw, sizeof(word));
-    s.step = calloc((size_t)(n - 1) * nw, sizeof(word));
-    int rc = SEARCH_DONE;
-    if (!s.W || !s.E || !s.step) {
-        rc = SEARCH_NOMEM;
-        goto done;
-    }
-    for (int32_t p = 0; p < n - 1; p++) {
-        word *step = s.step + (size_t)p * nw;
-        for (int32_t j = word_from(p + 1); j < nw; j++)
-            step[j] = p < 6 ? LOW[p] : (j >> (p - 6) & 1) ? 0 : ~(word)0;
-        if (p < 5)  /* word 0 also holds the v below 2^(p+1) */
-            step[0] &= ~(BIT(2 << p) - 1);
-    }
+    if (!s.W)
+        return SEARCH_NOMEM;
     for (int32_t i = 0; i < k; i++)
         s.W[A[i] >> 6] |= BIT(A[i]);
-    for (int32_t j = 0; j < nw; j++)
-        s.E[j] = full;
-    s.E[0] &= ~(word)1;  /* any nonzero v may be the first row */
     memset(counts, 0, (size_t)(n + 1) * sizeof(int64_t));
     counts[0] = 1;
-    grow(&s, 0, -1);
-done:
+    grow(&s, 0, -1, 0, N < 64 ? BIT(N) - 1 : ~(word)0);  /* any nonzero v may be the first row */
     free(s.W);
-    free(s.E);
-    free(s.step);
-    return rc;
+    return SEARCH_DONE;
 }

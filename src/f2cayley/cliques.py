@@ -80,10 +80,11 @@ def subspace_cliques(G: CayleyGraph) -> SubspaceCliqueReport:
     generator set thus gives the Gaussian binomials at once.
 
     The search runs in C (`f2c_subspaces` in `_clique.c`, built by
-    `_native`), with W and elig held as 2^n-bit rows of 64-bit words, one
-    pair per depth; translation by v permutes the words and swaps bits
-    inside each.  The result is checked here: M_0 = 1, M_1 = |A|, and the
-    witness spans a subspace of dimension max_dim inside A + {0}.
+    `_native`), with W held as a 2^n-bit row of 64-bit words per depth and
+    elig given by the pivots: a node reads only the words where elig can be
+    nonzero.  Translation by v permutes the words and swaps bits inside
+    each.  The result is checked here: M_0 = 1, M_1 = |A|, and the witness
+    spans a subspace of dimension max_dim inside A + {0}.
     """
     n = G.n
     gens = np.flatnonzero(G.generators.member_table()).astype(np.int32)

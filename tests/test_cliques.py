@@ -209,10 +209,27 @@ def test_subspace_cliques_count_nearly_complete_sets_by_formula():
             assert rep.counts == expect and rep.max_dim == max(expect)
 
 
+def pinned_reports(n):
+    G = sample_cayley(n, derive_seed(1, 0))
+    return [(rep.counts, rep.max_dim, rep.witness_basis)
+            for rep in (subspace_cliques(G), subspace_cliques(G.complement()))]
+
+
 def test_subspace_cliques_pins_counts_at_n12():
-    rep = subspace_cliques(sample_cayley(12, derive_seed(1, 0)))
-    assert rep.counts == {0: 1, 1: 2097, 2: 374933, 3: 3751185, 4: 591373, 5: 90}
-    assert rep.max_dim == 5 == len(rep.witness_basis)
+    assert pinned_reports(12) == [
+        ({0: 1, 1: 2097, 2: 374933, 3: 3751185, 4: 591373, 5: 90}, 5, (2406, 1122, 514, 12, 1)),
+        ({0: 1, 1: 1998, 2: 324319, 3: 2674894, 4: 287032, 5: 24}, 5, (2098, 1074, 389, 97, 8)),
+    ]
+
+
+def test_subspace_cliques_pins_counts_at_n13():
+    # the graph and its complement, each about 3 * 10^7 subspaces
+    assert pinned_reports(13) == [
+        ({0: 1, 1: 4118, 2: 1420473, 3: 26505213, 4: 7337886, 5: 1904}, 5,
+         (2406, 1122, 514, 12, 1)),
+        ({0: 1, 1: 4073, 2: 1373935, 3: 24478190, 4: 6126930, 5: 1334}, 5,
+         (4128, 3573, 932, 9, 3)),
+    ]
 
 
 def test_subspace_cliques_exact_at_n11():
