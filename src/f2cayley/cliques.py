@@ -6,13 +6,20 @@ every nonzero element of H is a generator.  `subspace_cliques` counts those
 qualifying subspaces per dimension, and its deepest witness seeds the
 branch-and-bound maximum clique search.  Budgets are counted in search-tree
 nodes, never wall time, so runs are reproducible.
+
+Everything here works on one graph.  A side, a graph's subspace report and
+then its maximum clique (`_side`), needs nothing from any other side, so
+`_run_sides` runs a list of sides on one queue of threads, and `_bracket`
+turns a graph's clique and its complement's side into a chromatic bracket.
+`chromatic_bracket` is that path for one graph; `experiments._records` lays
+out and reads the sides of a whole batch of trials.
 """
 from __future__ import annotations
 
 import threading
 import time
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -447,37 +454,6 @@ def _result(done: Union[_SideResult, BaseException]) -> _SideResult:
     if isinstance(done, BaseException):
         raise done
     return done
-
-
-def _sides_and_brackets(graphs: Sequence[CayleyGraph], clique_budget: Optional[int],
-                        chi_budget: Optional[int], helpers: int = 1
-                        ) -> Iterator[Tuple[SubspaceCliqueReport, CliqueOutcome,
-                                            ChromaticBracket, float]]:
-    """Each graph's subspace report, omega and chromatic bracket, in order,
-    with the seconds of its own work.
-
-    Every graph's two sides, G's (its subspace cliques, then omega within
-    `clique_budget`) and then its complement's (its subspace cliques, then
-    alpha within `chi_budget`), go to one `_run_sides` call with `helpers`
-    helper threads.  The results are then read graph by graph, graph side,
-    complement side, bracket, so a failure raises the error a serial run
-    raises, and nothing is yielded before all sides are done.  The seconds
-    are the complement's construction, both sides and the bracket, summed
-    over the threads that ran them.
-    """
-    sides: List[_Side] = []
-    built = []
-    for G in graphs:
-        t0 = time.perf_counter()
-        sides += [(G, clique_budget, None), (G.complement(), chi_budget, None)]
-        built.append(time.perf_counter() - t0)
-    done = _run_sides(sides, helpers)
-    for i, G in enumerate(graphs):
-        rep, omega, graph_s = _result(done[2 * i])
-        comp_rep, alpha, comp_s = _result(done[2 * i + 1])
-        t0 = time.perf_counter()
-        chi = _bracket(G, omega, comp_rep, alpha, chi_budget)
-        yield rep, omega, chi, built[i] + graph_s + comp_s + time.perf_counter() - t0
 
 
 def chromatic_bracket(

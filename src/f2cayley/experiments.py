@@ -7,10 +7,15 @@ handled by exact integer arithmetic; everything else goes through floats,
 with near-integer values re-decided exactly by directed rounding in the
 standard library's decimal module.  The density of that set up to n_max is
 counted exactly by bisecting for the n where the fractional part crosses
-its threshold.  The harness samples graphs, runs the clique and coloring
-machinery, and persists trial records whose bytes depend only on the config
-(timing excluded), whatever the number of helper threads: every trial's two
-sides go to one queue, and the records are built in index order.
+its threshold.
+
+The harness owns a trial from end to end (`_records`): it samples the graph
+and builds its complement, lays out the trial's two sides on one queue of
+threads shared by the whole batch (`cliques._run_sides`), reads them back in
+index order, forms the chromatic bracket (`cliques._bracket`) and builds and
+checks the record, whose `elapsed` it alone measures.  The records' bytes
+depend only on the config (timing excluded), whatever the number of helper
+threads.
 """
 from __future__ import annotations
 
@@ -24,8 +29,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cayley import MAX_N, MIN_N, sample_cayley
-from .cliques import _sides_and_brackets
+from .cayley import MAX_N, MIN_N, CayleyGraph, sample_cayley
+from .cliques import _bracket, _result, _run_sides, _Side
 from .errors import InvariantError, PreconditionError, require_budget
 from .rng import derive_seed
 
@@ -349,29 +354,38 @@ def _records(ns: Sequence[int], seeds: Sequence[int], clique_budget: Optional[in
              chi_budget: Optional[int], helpers: int = 1) -> List[TrialRecord]:
     """The trial record of each (n, seed), in order.
 
-    Every graph is sampled first; then all their sides go to one scheduler
-    call (`cliques._sides_and_brackets`), run on this thread and up to
-    `helpers` helper threads, and the records are built and checked in
-    index order, so a failure raises the error a serial run raises.  A
-    record's `elapsed` is its trial's own work: sampling, both sides and
-    the bracket, summed over the threads that did them.
+    Every graph and its complement are built first.  Trial i's graph side
+    (its subspace cliques, then omega within `clique_budget`) is side 2i
+    and its complement's side (its subspace cliques, then alpha within
+    `chi_budget`) is side 2i + 1 of one `cliques._run_sides` call, run on
+    this thread and up to `helpers` helper threads.  The results are then
+    read trial by trial, graph side, complement side, bracket, record and
+    its check, so a failure raises the error a serial run raises.  A
+    record's `elapsed` is its trial's own work: sampling and the
+    complement, both sides' own seconds, then the bracket and the record,
+    summed over the threads that did them.
     """
-    graphs, sampled = [], []
+    trials: List[Tuple[CayleyGraph, float]] = []
+    sides: List[_Side] = []
     for n, seed in zip(ns, seeds):
         t0 = time.perf_counter()
-        graphs.append(sample_cayley(n, seed))
-        sampled.append(time.perf_counter() - t0)
+        G = sample_cayley(n, seed)
+        sides += [(G, clique_budget, None), (G.complement(), chi_budget, None)]
+        trials.append((G, time.perf_counter() - t0))
+    done = _run_sides(sides, helpers)
     records = []
-    for G, sample_s, (rep, omega, chi, own_s) in zip(
-            graphs, sampled, _sides_and_brackets(graphs, clique_budget, chi_budget, helpers)):
+    for i, (G, built_s) in enumerate(trials):
+        rep, omega, graph_s = _result(done[2 * i])
+        comp_rep, alpha, comp_s = _result(done[2 * i + 1])
         t0 = time.perf_counter()
+        chi = _bracket(G, omega, comp_rep, alpha, chi_budget)
         rec = TrialRecord(
             n=G.n, seed=G.seed, a_size=len(G.generators),
             omega_size=omega.size, omega_optimal=omega.optimal,
             max_subspace_dim=rep.max_dim, m_counts=dict(rep.counts),
             chi_lower=chi.lower, chi_upper=chi.upper, chi_exact=chi.exact,
             predicted_omega=classify_n(G.n).predicted_omega,
-            elapsed=sample_s + own_s + time.perf_counter() - t0, nodes=chi.nodes,
+            elapsed=built_s + graph_s + comp_s + time.perf_counter() - t0, nodes=chi.nodes,
         )
         try:
             rec.validate()
@@ -389,13 +403,13 @@ def run_trial(
 ) -> TrialRecord:
     """Sample the graph for (n, seed) and measure everything once.
 
-    The graph's side (its subspace cliques, then omega within
-    `clique_budget`) and the complement's side (its subspace cliques, then
-    alpha within `chi_budget`) each run once, and at once, on this thread
-    and a helper that lives for this call; the bracket is formed from the
-    two.  This is `run_experiment`'s path with one trial.  The record, node
-    counts included, is the one a serial run writes; only `elapsed`
-    differs.
+    This is `_records`, `run_experiment`'s path, with one trial: the graph's
+    side (its subspace cliques, then omega within `clique_budget`) and the
+    complement's side (its subspace cliques, then alpha within
+    `chi_budget`) each run once, and at once, on this thread and a helper
+    that lives for this call; the bracket is formed from the two.  The
+    record, node counts included, is the one a serial run writes; only
+    `elapsed` differs.
     """
     return _records([n], [seed], clique_budget, chi_budget)[0]
 
@@ -510,11 +524,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
 
     Trial index runs over ns in order, trials within each n; the seed for
     trial index i is derive_seed(base_seed, i), so the record stream is a
-    pure function of the config.  Every trial's two sides share one queue
-    (`_records`) that this thread and `workers` helper threads take from,
-    so a short side of one trial overlaps the long side of another; a call
-    with s sides starts at most s - 1 helpers.  Records are written in
-    index order, the same bytes for every `workers`.
+    pure function of the config.  `_records` runs every trial: all their
+    sides share one queue that this thread and `workers` helper threads take
+    from, so a short side of one trial overlaps the long side of another; a
+    call with s sides starts at most s - 1 helpers.  Records are written in
+    index order, the same bytes for every `workers`, and the first error in
+    that order is the one raised.
     """
     if _integer("run_experiment workers", workers) < 1:
         raise PreconditionError("run_experiment needs workers >= 1")

@@ -32,7 +32,7 @@ from f2cayley import (
     summarize,
     tail_exponent,
 )
-from f2cayley import experiments
+from f2cayley import cliques, experiments
 from f2cayley.cli import main
 from f2cayley.experiments import _reaches, summary_header
 
@@ -320,14 +320,13 @@ def test_malformed_record_lines_raise_precondition_error(tmp_path):
 
 
 def test_run_trial_reports_its_own_broken_record_as_a_fault(tmp_path, monkeypatch):
-    real = experiments._sides_and_brackets
+    real = cliques._side
 
     def broken(*args):  # M_1 no longer counts the generators
-        for rep, omega, chi, seconds in real(*args):
-            yield (dataclasses.replace(rep, counts={**rep.counts, 1: rep.counts[1] + 1}),
-                   omega, chi, seconds)
+        rep, omega, seconds = real(*args)
+        return dataclasses.replace(rep, counts={**rep.counts, 1: rep.counts[1] + 1}), omega, seconds
 
-    monkeypatch.setattr(experiments, "_sides_and_brackets", broken)
+    monkeypatch.setattr(cliques, "_side", broken)
     with pytest.raises(InvariantError, match=r"m_counts\[1\]"):
         run_trial(5, 3)
     config = tmp_path / "config.json"
