@@ -6,7 +6,9 @@ The library is compiled on first import with the C compiler Python was built
 with (sysconfig's CC) and cached as __pycache__/_clique-<tag>.so, where tag is
 the sha256 of the source and the compile command.  Each compile writes its own
 temporary file and renames it into place, so concurrent first imports all end
-with the one library.  There is no fallback: a failed compile fails the import
+with the one library; a process that compiled then removes the libraries of
+earlier sources from the cache, never a temporary file, while a cache hit
+touches nothing.  There is no fallback: a failed compile fails the import
 with the compiler's stderr.
 
 The command names no target CPU, so the library runs on any machine of the
@@ -56,6 +58,12 @@ def _build() -> str:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+    for name in os.listdir(cache):  # the libraries of earlier sources
+        if name.startswith("_clique-") and name.endswith(".so") and name != os.path.basename(path):
+            try:
+                os.remove(os.path.join(cache, name))
+            except FileNotFoundError:  # a concurrent first import removed it
+                pass
     return path
 
 

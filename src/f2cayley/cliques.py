@@ -328,22 +328,25 @@ class ChromaticBracket:
         return self.lower if self.lower == self.upper else None
 
 
-def _exact_chromatic(gens: List[int], N: int, lower: int, upper: int,
-                     budget: Optional[int]) -> Tuple[Optional[int], int]:
+def _exact_chromatic(gens: List[int], N: int, lower: int, upper: int, budget: Optional[int]
+                     ) -> Tuple[Optional[int], int, Optional[List[int]]]:
     """DSATUR branch and bound over the neighbors v + a, a in the generator
-    list `gens`; returns (chi, or None when the budget stopped it, nodes used)."""
+    list `gens`; returns (chi, or None when the budget stopped it, nodes
+    used, the coloring it last improved to, or None if it found none below
+    `upper`)."""
     best = upper
     colors = [-1] * N
     nodes = 0
+    found: Optional[List[int]] = None
 
     def rec(colored: int, num_used: int) -> bool:
         """Search below this node; True when the whole search must stop, at a
         coloring with `lower` colors or at the budget."""
-        nonlocal best, nodes
+        nonlocal best, nodes, found
         if num_used >= best:
             return False
         if colored == N:
-            best = num_used
+            best, found = num_used, colors[:]
             return best == lower
         if budget is not None and nodes >= budget:
             return True
@@ -371,8 +374,8 @@ def _exact_chromatic(gens: List[int], N: int, lower: int, upper: int,
 
     # a stop above lower is the budget's: reaching lower stops the search at once
     if rec(0, 0) and best > lower:
-        return None, nodes
-    return best, nodes
+        return None, nodes, found
+    return best, nodes, found
 
 
 _Side = Tuple[CayleyGraph, Optional[int], Optional[SubspaceCliqueReport]]
@@ -500,7 +503,9 @@ def chromatic_bracket(
 def _bracket(G: CayleyGraph, clique: CliqueOutcome, comp_rep: SubspaceCliqueReport,
              alpha: CliqueOutcome, budget: Optional[int]) -> ChromaticBracket:
     """Combine omega, alpha and the complement's deepest subspace into the
-    bracket that `chromatic_bracket` describes; DSATUR closes it when n <= 5."""
+    bracket that `chromatic_bracket` describes; DSATUR closes it when n <= 5,
+    and a chi it proves below the coset bound is certified by the coloring
+    it found, checked edge by edge."""
     n, N = G.n, 1 << G.n
     nodes = clique.nodes + alpha.nodes
     lower = max(clique.size, -(-N // alpha.size)) if alpha.optimal else clique.size
@@ -513,8 +518,11 @@ def _bracket(G: CayleyGraph, clique: CliqueOutcome, comp_rep: SubspaceCliqueRepo
 
     if lower < upper and n <= 5:
         gens = np.flatnonzero(G.generators.member_table()).tolist()
-        exact, used = _exact_chromatic(gens, N, lower, upper, budget)
+        exact, used, colors = _exact_chromatic(gens, N, lower, upper, budget)
         nodes += used
         if exact is not None:
+            if exact < upper:  # the coloring DSATUR found certifies the new upper bound
+                _require(_proper(G, colors, "DSATUR").num_colors == exact,
+                         "DSATUR coloring does not use chi colors")
             lower = upper = exact
     return ChromaticBracket(lower=lower, upper=upper, nodes=nodes)

@@ -339,13 +339,33 @@ class TrialRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "TrialRecord":
+        """The record of one JSON line, refused unless every field has its
+        type and range (integers by `_integer`'s rule, which refuses
+        booleans) and the record passes `validate`."""
         try:
             d = json.loads(line)  # a JSONDecodeError is a ValueError
             kw = {f.name: d[f.name] for f in fields(cls)}
             kw["m_counts"] = {int(k): v for k, v in kw["m_counts"].items()}
-            rec = cls(**kw)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise PreconditionError(f"malformed trial record: {exc}") from exc
+        for name in ("n", "seed", "a_size", "omega_size", "max_subspace_dim",
+                     "chi_lower", "chi_upper", "predicted_omega", "nodes"):
+            _integer(f"record {name}", kw[name])
+        for m, count in kw["m_counts"].items():
+            _integer(f"record m_counts[{m}]", count)
+        if kw["chi_exact"] is not None:
+            _integer("record chi_exact", kw["chi_exact"])
+        if not isinstance(kw["omega_optimal"], bool):
+            raise PreconditionError(
+                f"record omega_optimal must be a boolean, got {kw['omega_optimal']!r}")
+        if isinstance(kw["elapsed"], bool) or not isinstance(kw["elapsed"], (int, float)):
+            raise PreconditionError(f"record elapsed must be a number, got {kw['elapsed']!r}")
+        if not MIN_N <= kw["n"] <= MAX_N:
+            raise PreconditionError(f"record n must lie in [{MIN_N}, {MAX_N}], got {kw['n']}")
+        for name in ("a_size", "nodes"):
+            if kw[name] < 0:
+                raise PreconditionError(f"record {name} must be >= 0, got {kw[name]}")
+        rec = cls(**kw)
         rec.validate()
         return rec
 

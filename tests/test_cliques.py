@@ -273,9 +273,10 @@ def test_budgets_stop_after_exactly_budget_nodes():
         assert not out.optimal and out.nodes == b
     assert max_clique(G, budget=0).nodes == 0
     gens = sample_cayley(4, 99).generators.elements()
-    full = cliques._exact_chromatic(gens, 16, 1, 17, None)
-    assert full[0] is not None and full[1] > 3
-    assert cliques._exact_chromatic(gens, 16, 1, 17, 3) == (None, 3)
+    chi, nodes, _ = cliques._exact_chromatic(gens, 16, 1, 17, None)
+    assert chi is not None and nodes > 3
+    chi, nodes, _ = cliques._exact_chromatic(gens, 16, 1, 17, 3)
+    assert (chi, nodes) == (None, 3)
 
 
 def test_exact_chromatic_pins_node_counts_at_n5():
@@ -285,6 +286,25 @@ def test_exact_chromatic_pins_node_counts_at_n5():
                       (264, (7, 526)), (266, (7, 567)), (65, (8, 6952))):
         rec = run_trial(5, derive_seed(11, i))
         assert (rec.chi_exact, rec.nodes) == pinned
+
+
+def test_a_chi_below_the_coset_bound_needs_a_checked_coloring(monkeypatch):
+    # DSATUR closes trial 145's bracket [7, 8] with a proper 7-coloring; a
+    # coloring that is improper, or proper with more colors, is a fault
+    seed = derive_seed(11, 145)
+    G = sample_cayley(5, seed)
+    chi, _, colors = cliques._exact_chromatic(G.generators.elements(), 32, 7, 8, None)
+    assert chi == 7 and verify_coloring(G, Coloring(tuple(colors), 7))
+    real = cliques._exact_chromatic
+    for bad, what in (([0] * 32, "not proper"), (list(range(32)), "chi colors")):
+        def broken(*args, bad=bad):
+            chi, nodes, _ = real(*args)
+            return chi, nodes, bad
+
+        with monkeypatch.context() as m:
+            m.setattr(cliques, "_exact_chromatic", broken)
+            with pytest.raises(InvariantError, match=what):
+                run_trial(5, seed)
 
 
 def bron_kerbosch_max(adj, N):
@@ -842,6 +862,47 @@ def test_the_first_error_in_serial_order_is_raised(monkeypatch, tmp_path):
                 with pytest.raises(MemoryError, match=f"^{raised}$"):
                     run_experiment(cfg, workers=workers)
             assert not _side_threads()
+
+
+def test_a_broken_record_wins_over_a_later_trials_failed_side(monkeypatch, tmp_path):
+    # trial 0's graph side ends last, with M_1 off by one, so its record
+    # fails its check; trial 1's graph side fails first in time.  A serial
+    # run builds trial 0's record before it reaches trial 1
+    G0, G1 = (sample_cayley(7, derive_seed(11, i)) for i in range(2))
+    real = cliques._side
+    cfg = ExperimentConfig.from_dict(dict(ns=[7], trials=2, base_seed=11, out_dir=str(tmp_path)))
+
+    def failing(H, *rest):
+        if H.generators.mask == G1.generators.mask:
+            raise MemoryError("graph 1")
+        rep, omega, seconds = real(H, *rest)
+        if H.generators.mask == G0.generators.mask:
+            time.sleep(0.1)
+            rep = replace(rep, counts={**rep.counts, 1: rep.counts[1] + 1})
+        return rep, omega, seconds
+
+    monkeypatch.setattr(cliques, "_side", failing)
+    for workers in (1, 3):
+        with pytest.raises(InvariantError, match=r"m_counts\[1\]"):
+            run_experiment(cfg, workers=workers)
+        assert not _side_threads()
+
+
+def test_elapsed_counts_each_side_once(monkeypatch, tmp_path):
+    # every side reports one second more than it took: a record's elapsed
+    # holds both its sides, each once, and the rest of the trial's work
+    real = cliques._side
+
+    def slower(*side):
+        rep, omega, seconds = real(*side)
+        return rep, omega, seconds + 1.0
+
+    monkeypatch.setattr(cliques, "_side", slower)
+    cfg = ExperimentConfig.from_dict(dict(ns=[5], trials=3, base_seed=2, out_dir=str(tmp_path)))
+    for workers in (1, 2):
+        records = run_experiment(cfg, workers=workers).records
+        assert len(records) == 3
+        assert all(2.0 <= r.elapsed < 3.0 for r in records), [r.elapsed for r in records]
 
 
 def test_an_interrupt_raised_by_a_side_starts_no_later_side(monkeypatch, tmp_path):

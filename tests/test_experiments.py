@@ -319,6 +319,18 @@ def test_malformed_record_lines_raise_precondition_error(tmp_path):
             load_records(str(path))
 
 
+def test_mistyped_record_fields_raise_precondition_error():
+    # each line is a valid record with one field changed; the error names it
+    rec = run_trial(4, 99)
+    assert TrialRecord.from_json(rec.to_json()) == rec
+    d = json.loads(rec.to_json())
+    for key, value in (("chi_exact", "x"), ("omega_size", "4"), ("chi_lower", None),
+                       ("n", 4.5), ("omega_optimal", "yes"), ("nodes", -5),
+                       ("elapsed", "fast")):
+        with pytest.raises(PreconditionError, match=f"record {key} "):
+            TrialRecord.from_json(json.dumps(dict(d, **{key: value})))
+
+
 def test_run_trial_reports_its_own_broken_record_as_a_fault(tmp_path, monkeypatch):
     real = cliques._side
 

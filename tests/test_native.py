@@ -45,6 +45,22 @@ def test_concurrent_first_imports_share_one_library(tmp_path):
     assert built == [os.path.basename(_native.LIBRARY)]
 
 
+def test_a_compile_removes_the_libraries_of_earlier_sources(tmp_path):
+    # a library of another source goes once this one is compiled; a
+    # temporary file of a compile still running stays
+    pkg = copy_package(tmp_path)
+    os.mkdir(pkg / "__pycache__")
+    stale, pending = "_clique-" + "0" * 64 + ".so", "_clique-pending.tmp"
+    for name in (stale, pending):
+        (pkg / "__pycache__" / name).write_bytes(b"")
+    proc = start_import(tmp_path)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    current = _native.library_name((pkg / "_clique.c").read_bytes())
+    assert sorted(f for f in os.listdir(pkg / "__pycache__") if f.startswith("_clique")) == [
+        current, pending]
+
+
 def test_failed_compile_fails_the_import(tmp_path):
     pkg = copy_package(tmp_path)
     with open(pkg / "_clique.c", "a") as fh:
