@@ -291,10 +291,11 @@ class TrialRecord:
     """One sampled graph, fully determined by (n, seed) and the budgets.
 
     nodes totals the search nodes spent across the clique, independence and
-    coloring searches.  elapsed is the seconds of the trial's own work
-    (sampling, both sides and the bracket, summed over the threads that ran
-    them, so trials that overlap may sum to more than the wall time) and is
-    the only field allowed to differ between reruns.
+    coloring searches.  elapsed is the seconds of the trial's own work, as
+    `_records` measures it (sampling and the complement, each side once,
+    the bracket and the record, summed over the threads that ran them, so
+    trials that overlap may sum to more than the wall time), and is the
+    only field allowed to differ between reruns.
     """
 
     n: int
