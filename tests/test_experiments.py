@@ -1,9 +1,11 @@
 """Concentration classifier, optimality sequences, and the trial harness."""
 import dataclasses
 import decimal
+import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -375,6 +377,48 @@ def test_every_thread_count_writes_the_same_bytes(tmp_path):
     assert outputs(2) == outputs(1)
     assert outputs(4) == outputs(1)
     assert threading.active_count() == before
+
+
+# sha256 of records.jsonl with every "elapsed" entry cut out, and of
+# summary.csv, for ns = 2..8 x 3 trials (base seed 7) under four budgets
+# (the same for omega and chi) and for the four trial_n9 benchmark batches
+# (n = 9 x 4 trials, base seed derive_seed(7, batch), no budget)
+OUTPUT_DIGESTS = {
+    ("ns 2..8", None): ("fcb7933009995c6c7931d23a1adc1e8c9d2e9275254e4eb4865819d872ad30da",
+                        "2f1d6b4c1599bb7e6e0e818be4249bbaadee4299fd3a3a525f52a850d4265b95"),
+    ("ns 2..8", 1): ("5932d99102294bfa3b693a777c257e338bbfa3eea910e7db69275e051cfbe4a8",
+                     "cb45c30b9de4ec940bdc05d45e1049c4c706dbfae8a21ce8135d92998224e547"),
+    ("ns 2..8", 5): ("3fb1f512b96119070d0f117e5887b8efc5089962afdb583265dac1e6345a5799",
+                     "cb45c30b9de4ec940bdc05d45e1049c4c706dbfae8a21ce8135d92998224e547"),
+    ("ns 2..8", 50): ("501942db6461b27731cc47190a62c872d58b87e7173c18ba513eca7cb1cb0ca2",
+                      "707a836b94ce4168764856f91bc91b5d679289f9436c5cf842086b9b92776765"),
+    ("trial_n9", 0): ("95008d41ba7cdef7770ff58626edb89456250ea02d26c69d657a3e7b5c0daa74",
+                      "c799128ba89d93043b5b92257eb486f705aa543388b603d930ddfbc132d8f52f"),
+    ("trial_n9", 1): ("016625fddeb4ab3959ec1a3ca97fb1c826732ec416e68678eac81fe602f6293a",
+                      "e7d3c690ba8ce6105e4a2f710c7d9b74404d9e4142fe07de3b05756459c902b8"),
+    ("trial_n9", 2): ("54d6f479f52bccf1f68a7906f28189fb858d4ff10e18bb2390f15109828fb910",
+                      "e7d3c690ba8ce6105e4a2f710c7d9b74404d9e4142fe07de3b05756459c902b8"),
+    ("trial_n9", 3): ("5cf3649b4931c423264969c971be3644437b71c9d4bfc3c3d07583ef0e7d103d",
+                      "e7d3c690ba8ce6105e4a2f710c7d9b74404d9e4142fe07de3b05756459c902b8"),
+}
+
+
+def test_records_and_summary_bytes_are_pinned(tmp_path):
+    for (gate, x), digests in OUTPUT_DIGESTS.items():
+        if gate == "trial_n9":
+            cfg = ExperimentConfig(ns=(9,), trials=4, base_seed=derive_seed(7, x),
+                                   clique_budget=None, chi_budget=None, out_dir=str(tmp_path))
+        else:
+            cfg = ExperimentConfig(ns=tuple(range(2, 9)), trials=3, base_seed=7,
+                                   clique_budget=x, chi_budget=x, out_dir=str(tmp_path))
+        for workers in (1, 2):
+            res = run_experiment(cfg, workers=workers)
+            with open(res.records_path) as fh:
+                records = re.sub(r'"elapsed":[^,]*,', "", fh.read())
+            with open(res.summary_path, "rb") as fh:
+                got = (hashlib.sha256(records.encode()).hexdigest(),
+                       hashlib.sha256(fh.read()).hexdigest())
+            assert got == digests, (gate, x, workers)
 
 
 def test_experiment_round_trip(tmp_path):
