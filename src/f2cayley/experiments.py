@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from .cayley import MAX_N, MIN_N, CayleyGraph, sample_cayley
 from .cliques import _bracket, _result, _run_sides, _Side
@@ -295,7 +295,8 @@ class TrialRecord:
     `_records` measures it (sampling and the complement, each side once,
     the bracket and the record, summed over the threads that ran them, so
     trials that overlap may sum to more than the wall time), and is the
-    only field allowed to differ between reruns.
+    only field allowed to differ between reruns.  max_subspace_dim, chi_exact
+    and predicted_omega are derived; `__post_init__` checks every record.
     """
 
     n: int
@@ -303,71 +304,74 @@ class TrialRecord:
     a_size: int
     omega_size: int
     omega_optimal: bool
-    max_subspace_dim: int
     m_counts: Dict[int, int]
     chi_lower: int
     chi_upper: int
-    chi_exact: Optional[int]
-    predicted_omega: int
     elapsed: float
     nodes: int
 
-    def validate(self) -> None:
-        """Check the invariants every exact record satisfies at every n."""
+    DERIVED: ClassVar[Tuple[str, ...]] = ("max_subspace_dim", "chi_exact", "predicted_omega")
+
+    @property
+    def max_subspace_dim(self) -> int:
+        return max(self.m_counts)
+
+    @property
+    def chi_exact(self) -> Optional[int]:
+        return self.chi_lower if self.chi_lower == self.chi_upper else None
+
+    @property
+    def predicted_omega(self) -> int:
+        return classify_n(self.n).predicted_omega
+
+    def __post_init__(self) -> None:
+        """Check each field's type by its annotation (`_integer`'s rule: no
+        boolean is an integer), then m_counts, the ranges and the invariants."""
+        kind = {"int": int, "bool": bool, "float": (int, float), "Dict[int, int]": dict}
+        for f in fields(self):
+            x = getattr(self, f.name)
+            if not isinstance(x, kind[f.type]) or isinstance(x, bool) != (f.type == "bool"):
+                raise PreconditionError(f"record {f.name} must be {f.type}, got {x!r}")
+        if not MIN_N <= self.n <= MAX_N:
+            raise PreconditionError(f"record n must lie in [{MIN_N}, {MAX_N}], got {self.n}")
+        for m, count in self.m_counts.items():
+            _integer(f"record m_counts[{m}]", count)
+        for name, ok, rule in (("a_size", self.a_size >= 0, "be >= 0"),
+                               ("nodes", self.nodes >= 0, "be >= 0")):
+            if not ok:
+                raise PreconditionError(f"record {name} must {rule}, got {getattr(self, name)}")
         where = f"record n={self.n} seed={self.seed}"
         if self.m_counts.get(0) != 1:
             raise PreconditionError(f"{where}: m_counts[0] != 1")
         if self.m_counts.get(1, 0) != self.a_size:
             raise PreconditionError(f"{where}: m_counts[1] != a_size {self.a_size}")
-        if self.max_subspace_dim != max(self.m_counts):
-            raise PreconditionError(
-                f"{where}: max_subspace_dim {self.max_subspace_dim} is not the deepest count")
-        if self.chi_lower < self.omega_size:
-            raise PreconditionError(f"{where}: chi_lower below omega_size")
         if self.omega_size < 1 << self.max_subspace_dim:
             raise PreconditionError(
                 f"{where}: omega_size {self.omega_size} < 2^{self.max_subspace_dim}")
-        if self.chi_lower > self.chi_upper:
-            raise PreconditionError(f"{where}: chi bracket inverted")
-        if self.chi_exact is not None and not (
-                self.chi_lower <= self.chi_exact <= self.chi_upper):
-            raise PreconditionError(f"{where}: chi_exact outside bracket")
+        if not self.omega_size <= self.chi_lower <= self.chi_upper:
+            raise PreconditionError(f"{where}: not omega_size <= chi_lower <= chi_upper")
 
     def to_json(self) -> str:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d = {k: getattr(self, k) for k in (*(f.name for f in fields(self)), *self.DERIVED)}
         d["m_counts"] = {str(k): v for k, v in self.m_counts.items()}
         return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, line: str) -> "TrialRecord":
-        """The record of one JSON line, refused unless every field has its
-        type and range (integers by `_integer`'s rule, which refuses
-        booleans) and the record passes `validate`."""
+        """The record of one JSON line, refused unless it passes `__post_init__`
+        and stores each derived field as derived, of the same type."""
         try:
             d = json.loads(line)  # a JSONDecodeError is a ValueError
             kw = {f.name: d[f.name] for f in fields(cls)}
             kw["m_counts"] = {int(k): v for k, v in kw["m_counts"].items()}
+            stored = {name: d[name] for name in cls.DERIVED}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise PreconditionError(f"malformed trial record: {exc}") from exc
-        for name in ("n", "seed", "a_size", "omega_size", "max_subspace_dim",
-                     "chi_lower", "chi_upper", "predicted_omega", "nodes"):
-            _integer(f"record {name}", kw[name])
-        for m, count in kw["m_counts"].items():
-            _integer(f"record m_counts[{m}]", count)
-        if kw["chi_exact"] is not None:
-            _integer("record chi_exact", kw["chi_exact"])
-        if not isinstance(kw["omega_optimal"], bool):
-            raise PreconditionError(
-                f"record omega_optimal must be a boolean, got {kw['omega_optimal']!r}")
-        if isinstance(kw["elapsed"], bool) or not isinstance(kw["elapsed"], (int, float)):
-            raise PreconditionError(f"record elapsed must be a number, got {kw['elapsed']!r}")
-        if not MIN_N <= kw["n"] <= MAX_N:
-            raise PreconditionError(f"record n must lie in [{MIN_N}, {MAX_N}], got {kw['n']}")
-        for name in ("a_size", "nodes"):
-            if kw[name] < 0:
-                raise PreconditionError(f"record {name} must be >= 0, got {kw[name]}")
         rec = cls(**kw)
-        rec.validate()
+        for name, value in stored.items():
+            want = getattr(rec, name)
+            if type(value) is not type(want) or value != want:
+                raise PreconditionError(f"record {name} is {value!r}, derived {want!r}")
         return rec
 
 
@@ -400,19 +404,15 @@ def _records(ns: Sequence[int], seeds: Sequence[int], clique_budget: Optional[in
         comp_rep, alpha, comp_s = _result(done[2 * i + 1])
         t0 = time.perf_counter()
         chi = _bracket(G, omega, comp_rep, alpha, chi_budget)
-        rec = TrialRecord(
-            n=G.n, seed=G.seed, a_size=len(G.generators),
-            omega_size=omega.size, omega_optimal=omega.optimal,
-            max_subspace_dim=rep.max_dim, m_counts=dict(rep.counts),
-            chi_lower=chi.lower, chi_upper=chi.upper, chi_exact=chi.exact,
-            predicted_omega=classify_n(G.n).predicted_omega,
-            elapsed=built_s + graph_s + comp_s + time.perf_counter() - t0, nodes=chi.nodes,
-        )
         try:
-            rec.validate()
+            records.append(TrialRecord(
+                n=G.n, seed=G.seed, a_size=len(G.generators),
+                omega_size=omega.size, omega_optimal=omega.optimal, m_counts=dict(rep.counts),
+                chi_lower=chi.lower, chi_upper=chi.upper,
+                elapsed=built_s + graph_s + comp_s + time.perf_counter() - t0, nodes=chi.nodes,
+            ))
         except PreconditionError as exc:  # the trial's own result is broken: a bug
             raise InvariantError(str(exc)) from exc
-        records.append(rec)
     return records
 
 
@@ -524,16 +524,16 @@ def summarize(ns: Sequence[int], records: Sequence[TrialRecord]) -> List[str]:
         by_n[r.n].append(r)
     rows = []
     for n, recs in by_n.items():
+        predicted = classify_n(n).predicted_omega
         if not recs:
-            rows.append(f"{n},0,{classify_n(n).predicted_omega},"
-                        f"{0.0:.6f},{0.0:.6f},{0.0:.6f},,")
+            rows.append(f"{n},0,{predicted},{0.0:.6f},{0.0:.6f},{0.0:.6f},,")
             continue
         t = len(recs)
-        match = sum(1 for r in recs if r.omega_size == r.predicted_omega) / t
+        match = sum(1 for r in recs if r.omega_size == predicted) / t
         mean_lo = sum(r.chi_lower for r in recs) / t
         mean_hi = sum(r.chi_upper for r in recs) / t
         rows.append(
-            f"{n},{t},{recs[0].predicted_omega},{match:.6f},"
+            f"{n},{t},{predicted},{match:.6f},"
             f"{mean_lo:.6f},{mean_hi:.6f},"
             f"{_hist([r.omega_size for r in recs])},"
             f"{_hist([r.max_subspace_dim for r in recs])}")

@@ -22,7 +22,6 @@ from f2cayley import (
     TrialRecord,
     bits_of,
     chromatic_bracket,
-    classify_n,
     coset_coloring,
     derive_seed,
     gaussian_binomial,
@@ -1092,10 +1091,8 @@ def test_experiment_outputs_match_the_serial_sides(tmp_path):
             rep, omega, br = _serial_sides(G, b, b)
             ref.append(TrialRecord(
                 n=n, seed=seed, a_size=len(G.generators), omega_size=omega.size,
-                omega_optimal=omega.optimal, max_subspace_dim=rep.max_dim,
-                m_counts=dict(rep.counts), chi_lower=br.lower, chi_upper=br.upper,
-                chi_exact=br.exact, predicted_omega=classify_n(n).predicted_omega,
-                elapsed=0.0, nodes=br.nodes))
+                omega_optimal=omega.optimal, m_counts=dict(rep.counts),
+                chi_lower=br.lower, chi_upper=br.upper, elapsed=0.0, nodes=br.nodes))
         want = [{k: v for k, v in json.loads(r.to_json()).items() if k != "elapsed"} for r in ref]
         summary = "\n".join([summary_header()] + summarize(ns, ref)) + "\n"
         for workers in (1, 2, 4):

@@ -271,21 +271,20 @@ def test_seq_nj_terms_sit_at_the_fractional_boundary():
 
 def test_trial_record_validation():
     good = dict(n=4, seed=1, a_size=7, omega_size=4, omega_optimal=True,
-                max_subspace_dim=2, m_counts={0: 1, 1: 7, 2: 1}, chi_lower=4,
-                chi_upper=4, chi_exact=4, predicted_omega=8, elapsed=0.1, nodes=9)
-    TrialRecord(**good).validate()
-    bad = dict(good, omega_size=3)  # below 2^max_subspace_dim
-    with pytest.raises(PreconditionError):
-        TrialRecord(**bad).validate()
-    bad2 = dict(good, chi_exact=9)
-    with pytest.raises(PreconditionError):
-        TrialRecord(**bad2).validate()
-    for wrong in (dict(m_counts={0: 2, 1: 7, 2: 1}),  # M_0 is the zero subspace
+                m_counts={0: 1, 1: 7, 2: 1}, chi_lower=4, chi_upper=4, elapsed=0.1, nodes=9)
+    rec = TrialRecord(**good)
+    assert (rec.max_subspace_dim, rec.chi_exact, rec.predicted_omega) == (2, 4, 8)
+    for wrong in (dict(omega_size=3),                  # below 2^max_subspace_dim
+                  dict(m_counts={0: 2, 1: 7, 2: 1}),  # M_0 is the zero subspace
                   dict(m_counts={0: 1, 1: 6, 2: 1}),  # M_1 counts the generators
-                  dict(max_subspace_dim=1),           # deepest count is dimension 2
-                  dict(chi_lower=3, chi_exact=None)):  # chi >= omega
+                  dict(chi_lower=3)):                 # chi >= omega
         with pytest.raises(PreconditionError):
-            TrialRecord(**dict(good, **wrong)).validate()
+            TrialRecord(**dict(good, **wrong))
+    # a stored derived field that differs from the one the record gives
+    d = json.loads(rec.to_json())
+    for key, value in (("max_subspace_dim", 1), ("chi_exact", 9)):
+        with pytest.raises(PreconditionError, match=f"record {key} "):
+            TrialRecord.from_json(json.dumps(dict(d, **{key: value})))
     with pytest.raises(PreconditionError):
         TrialRecord.from_json('{"n": 4}')
 
@@ -301,10 +300,10 @@ def test_trial_record_json_round_trip():
         with pytest.raises(PreconditionError, match="malformed"):
             TrialRecord.from_json(json.dumps({k: v for k, v in d.items() if k != key}))
     fixed = TrialRecord(n=4, seed=1, a_size=7, omega_size=4, omega_optimal=True,
-                        max_subspace_dim=2, m_counts={0: 1, 1: 7, 2: 1}, chi_lower=4,
-                        chi_upper=4, chi_exact=None, predicted_omega=8, elapsed=0.5, nodes=9)
+                        m_counts={0: 1, 1: 7, 2: 1}, chi_lower=4, chi_upper=5,
+                        elapsed=0.5, nodes=9)
     assert fixed.to_json() == (
-        '{"a_size":7,"chi_exact":null,"chi_lower":4,"chi_upper":4,"elapsed":0.5,'
+        '{"a_size":7,"chi_exact":null,"chi_lower":4,"chi_upper":5,"elapsed":0.5,'
         '"m_counts":{"0":1,"1":7,"2":1},"max_subspace_dim":2,"n":4,"nodes":9,'
         '"omega_optimal":true,"omega_size":4,"predicted_omega":8,"seed":1}')
 
