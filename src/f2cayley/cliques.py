@@ -33,7 +33,6 @@ __all__ = [
     "SubspaceCliqueReport",
     "subspace_cliques",
     "max_clique",
-    "independence_number",
     "verify_clique",
     "verify_independent",
     "Coloring",
@@ -47,10 +46,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CliqueOutcome:
-    size: int
     witness: ElemSet
     optimal: bool
     nodes: int
+
+    @property
+    def size(self) -> int:
+        return self.witness.size
 
 
 @dataclass(frozen=True)
@@ -226,14 +228,7 @@ def max_clique(
     witness = ElemSet.from_elements(n, elems[:size].tolist()) if size > seed_size else seed
     _require(witness.size == size and verify_clique(G, witness),
              "max_clique witness is not a clique of the reported size")
-    return CliqueOutcome(size=size, witness=witness, optimal=not stopped, nodes=nodes)
-
-
-def independence_number(G: CayleyGraph, budget: Optional[int] = None) -> CliqueOutcome:
-    """Maximum independent set = maximum clique of the complement Cayley graph."""
-    out = max_clique(G.complement(), budget=budget)
-    _require(verify_independent(G, out.witness), "independence witness is not independent")
-    return out
+    return CliqueOutcome(witness=witness, optimal=not stopped, nodes=nodes)
 
 
 @dataclass(frozen=True)
@@ -484,16 +479,15 @@ def chromatic_bracket(
     `_run_sides`, on this thread and a helper, with the answers, node counts
     and errors of a serial run.  A `clique` passed in stands in for G's
     side; the complement's side is then the only one, and runs on this
-    thread.  Before either side starts, `clique` must be a clique of G of
-    its stated size, and the witness of `subspace_report` a clique of G.
+    thread.  Before either side starts, `clique` must be a clique of G, and
+    the witness of `subspace_report` a clique of G.
     """
     if budget is not None:
         require_budget(budget)
     if subspace_report is not None:
         _report_seed(G, subspace_report)
-    if clique is not None and (clique.witness.size != clique.size
-                               or not verify_clique(G, clique.witness)):
-        raise PreconditionError("clique outcome is not a clique of this graph of its stated size")
+    if clique is not None and not verify_clique(G, clique.witness):
+        raise PreconditionError("clique outcome is not a clique of this graph")
     sides: List[_Side] = [] if clique is not None else [(G, budget, subspace_report)]
     results = [_result(done) for done in _run_sides(sides + [(G.complement(), budget, None)])]
     comp_rep, alpha, _ = results[-1]

@@ -335,9 +335,14 @@ class TrialRecord:
         if not MIN_N <= self.n <= MAX_N:
             raise PreconditionError(f"record n must lie in [{MIN_N}, {MAX_N}], got {self.n}")
         for m, count in self.m_counts.items():
+            if not 0 <= _integer("record m_counts key", m) <= self.n:
+                raise PreconditionError(f"record m_counts key {m} outside [0, n]")
             _integer(f"record m_counts[{m}]", count)
-        for name, ok, rule in (("a_size", self.a_size >= 0, "be >= 0"),
-                               ("nodes", self.nodes >= 0, "be >= 0")):
+        for name, ok, rule in (("seed", 0 <= self.seed < 1 << 64, "lie in [0, 2^64)"),
+                               ("a_size", self.a_size >= 0, "be >= 0"),
+                               ("nodes", self.nodes >= 0, "be >= 0"),
+                               ("chi_upper", self.chi_upper <= 1 << self.n, "be <= 2^n"),
+                               ("elapsed", 0 <= self.elapsed < math.inf, "be finite and >= 0")):
             if not ok:
                 raise PreconditionError(f"record {name} must {rule}, got {getattr(self, name)}")
         where = f"record n={self.n} seed={self.seed}"
@@ -432,6 +437,8 @@ def run_trial(
     record, node counts included, is the one a serial run writes; only
     `elapsed` differs.
     """
+    if not 0 <= _integer("run_trial seed", seed) < 1 << 64:
+        raise PreconditionError(f"run_trial needs 0 <= seed < 2^64, got {seed}")
     return _records([n], [seed], clique_budget, chi_budget)[0]
 
 

@@ -26,7 +26,6 @@ from f2cayley import (
     derive_seed,
     gaussian_binomial,
     greedy_coloring,
-    independence_number,
     max_clique,
     rref,
     run_experiment,
@@ -370,7 +369,7 @@ def test_max_clique_and_alpha_match_bron_kerbosch_at_n5_to_7():
                 bare = max_clique(H, subspace_report=NO_SEED)
                 assert bare.size == omega[id(H)] == bare.witness.size
                 assert verify_clique(H, bare.witness)
-                ind = independence_number(H)
+                ind = max_clique(H.complement())
                 assert ind.optimal and ind.size == omega[id(Hc)] == ind.witness.size
                 assert verify_independent(H, ind.witness)
 
@@ -570,7 +569,7 @@ def test_run_trial_pins_nodes_at_n10():
     for i, (nodes, omega_nodes, alpha_nodes) in enumerate(pins):
         G = sample_cayley(10, derive_seed(1, i))
         assert run_trial(10, derive_seed(1, i)).nodes == nodes
-        assert (max_clique(G).nodes, independence_number(G).nodes) == (omega_nodes, alpha_nodes)
+        assert (max_clique(G).nodes, max_clique(G.complement()).nodes) == (omega_nodes, alpha_nodes)
 
 
 def test_negative_budgets_are_refused():
@@ -703,12 +702,6 @@ def test_invariant_checks_raise_on_broken_results(monkeypatch):
         m.setattr(cliques._native, "subspaces", lambda *args: 2)
         with pytest.raises(MemoryError):
             subspace_cliques(G)
-    # a complement that is not one: its cliques are not independent in G
-    G = sample_cayley(5, 8)
-    with monkeypatch.context() as m:
-        m.setattr(CayleyGraph, "complement", lambda self: self)
-        with pytest.raises(InvariantError, match="not independent"):
-            independence_number(G)
     # greedy coloring on a generator table with no edges; the check after it
     # reads the real table
     G = sample_cayley(5, 8)
@@ -734,7 +727,7 @@ def test_invariant_checks_raise_on_broken_results(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(cliques, "verify_clique", lambda G, X: True)
         with pytest.raises(InvariantError, match="inverted"):
-            chromatic_bracket(G, clique=replace(omega, size=32, witness=ElemSet.full(5)))
+            chromatic_bracket(G, clique=replace(omega, witness=ElemSet.full(5)))
     # a complement whose deepest subspace meets A: its cosets are no coloring
     with monkeypatch.context() as m:
         m.setattr(CayleyGraph, "complement", lambda self: self)
@@ -1111,7 +1104,7 @@ def test_independence_on_perfect_matching():
     # single generator: the graph is a perfect matching, alpha = 2^(n-1)
     for n in (3, 4):
         G = CayleyGraph(n, ElemSet.from_elements(n, [1]))
-        out = independence_number(G)
+        out = max_clique(G.complement())
         assert out.size == 1 << (n - 1)
         assert verify_independent(G, out.witness)
 
@@ -1197,12 +1190,8 @@ def test_chromatic_bracket_refuses_inputs_of_another_graph():
         chromatic_bracket(G2, clique=omega)
     br = chromatic_bracket(G2)
     assert (br.lower, br.upper, br.exact) == (13, 16, None)
-    # a clique of G2 itself, but not of the size it states
     own = max_clique(G2)
-    for bad in (replace(own, size=own.size + 1), replace(own, witness=ElemSet(6, 1))):
-        with pytest.raises(PreconditionError, match="clique outcome"):
-            chromatic_bracket(G2, clique=bad)
-    # a set of the stated size from another space, refused by verify_clique
+    # a set of its size from another space, refused by verify_clique
     for m in (6, 8):
         other = replace(own, witness=ElemSet(m, (1 << own.size) - 1))
         with pytest.raises(PreconditionError, match="wrong ambient dimension"):

@@ -325,11 +325,34 @@ def test_mistyped_record_fields_raise_precondition_error():
     rec = run_trial(4, 99)
     assert TrialRecord.from_json(rec.to_json()) == rec
     d = json.loads(rec.to_json())
-    for key, value in (("chi_exact", "x"), ("omega_size", "4"), ("chi_lower", None),
-                       ("n", 4.5), ("omega_optimal", "yes"), ("nodes", -5),
-                       ("elapsed", "fast")):
+    assert len(d) == 13
+    for key, value in (("chi_lower", None), ("n", 4.5), ("nodes", -5), ("chi_exact", True),
+                       ("predicted_omega", 8.0), ("omega_optimal", 1), ("seed", False),
+                       ("elapsed", True), *((k, "x") for k in d if k != "m_counts")):
         with pytest.raises(PreconditionError, match=f"record {key} "):
             TrialRecord.from_json(json.dumps(dict(d, **{key: value})))
+    with pytest.raises(PreconditionError, match="malformed"):
+        TrialRecord.from_json(json.dumps(dict(d, m_counts="x")))
+
+
+def test_records_that_contradict_themselves_or_leave_their_range_are_refused(monkeypatch):
+    # the line of a closed bracket [4, 4] with one field changed; each of
+    # these loaded while the derived fields were stored and checked apart
+    d = json.loads(run_trial(4, 99).to_json())
+    assert (d["chi_lower"], d["chi_upper"], d["chi_exact"]) == (4, 4, 4)
+    for key, value in (("chi_upper", 99), ("predicted_omega", 3), ("chi_exact", None),
+                       ("elapsed", float("nan")), ("elapsed", -1.0), ("seed", -1),
+                       ("seed", 1 << 64)):
+        changed = dict(d, **{key: value})
+        if key == "chi_upper":
+            changed["chi_exact"] = None  # the open bracket's own chi_exact
+        with pytest.raises(PreconditionError, match=f"record {key} "):
+            TrialRecord.from_json(json.dumps(changed))
+    with monkeypatch.context() as m:  # refused before it samples
+        m.setattr(experiments, "sample_cayley", None)
+        for seed in (-1, 1 << 64):
+            with pytest.raises(PreconditionError, match="seed"):
+                run_trial(4, seed)
 
 
 def test_run_trial_reports_its_own_broken_record_as_a_fault(tmp_path, monkeypatch):
